@@ -1,6 +1,6 @@
 # Convenience targets; the source of truth is dune.
 
-.PHONY: check build test bench bench-smoke bench-gate trace-smoke net-smoke fault-smoke crash-smoke cert-smoke par-smoke guest-smoke fast-smoke persist-smoke clean
+.PHONY: check build test bench bench-smoke bench-gate perfbench trace-smoke net-smoke fault-smoke crash-smoke cert-smoke par-smoke guest-smoke fast-smoke persist-smoke clean
 
 check: ## full tier-1 verification: build + every test suite + smokes
 	dune build @all && dune runtest && $(MAKE) trace-smoke && $(MAKE) net-smoke && $(MAKE) fault-smoke && $(MAKE) crash-smoke && $(MAKE) cert-smoke && $(MAKE) par-smoke && $(MAKE) guest-smoke && $(MAKE) fast-smoke && $(MAKE) persist-smoke
@@ -28,6 +28,14 @@ bench-smoke:
 # and summarized in one stderr line.
 bench-gate:
 	dune exec bench/main.exe -- gate
+
+# End-to-end omnid benchmark (perfbench/README.md): every workload with
+# the flags the README gives, printing the end-to-end metrics. Takes a
+# few minutes; each run builds omnid and the benchmark from this checkout.
+perfbench:
+	@for w in warm_small exec_long cold_admit; do \
+	  bash perfbench/run.sh --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+	done
 
 # Fast-path smoke: run a MiniC-compiled module and a guest-lifted module
 # under the pre-decoded threaded interpreter (--engine fast) and the

@@ -243,7 +243,7 @@ let run_single trace args =
       in
       let client =
         if !loopback then begin
-          let svc = Service.create () in
+          let svc = Service.of_config Service.default_config in
           let server = Omni_net.Server.create svc in
           let fault =
             if !fault_rate > 0.0 then
@@ -320,12 +320,7 @@ let run_single trace args =
                  certified"
           | Api.Target arch -> (
               let digest = Omni_util.Fnv64.digest_string wire in
-              let mode =
-                match req_mode with
-                | Some m -> m
-                | None -> Omni_targets.Machine.Mobile (Omni_sfi.Policy.make ())
-              in
-              let opts = Exec.mobile_opts arch in
+              let mode, opts = Exec.resolve_config ?mode:req_mode arch in
               let check_local cert origin =
                 (* re-translate locally and check the witness against it:
                    translation is pure, so the daemon's certificate must
@@ -477,30 +472,18 @@ let run_serve trace args =
           Array.of_list (List.rev !keep)
         in
         let t0 = Unix.gettimeofday () in
-        let workers =
+        let reports =
           List.init n (fun d ->
               let mine = slice d in
-              Domain.spawn (fun () ->
-                  let failures = ref 0 and instructions = ref 0 in
-                  Array.iter
-                    (fun r ->
-                      let res =
-                        Service.instantiate ~engine:r.Service.rq_engine
-                          ~sfi:r.Service.rq_sfi svc r.Service.rq_handle
-                      in
-                      if res.Api.exit_code <> 0 then incr failures;
-                      instructions := !instructions + res.Api.instructions)
-                    mine;
-                  (!failures, !instructions)))
+              Domain.spawn (fun () -> Service.run_batch svc mine))
+          |> List.map Domain.join
         in
-        let totals = List.map Domain.join workers in
         let dt = Unix.gettimeofday () -. t0 in
-        let failures = List.fold_left (fun a (f, _) -> a + f) 0 totals in
-        let instructions = List.fold_left (fun a (_, i) -> a + i) 0 totals in
+        let sum f = List.fold_left (fun a r -> a + f r) 0 reports in
         {
           Service.br_requests = !requests;
-          br_failures = failures;
-          br_instructions = instructions;
+          br_failures = sum (fun r -> r.Service.br_failures);
+          br_instructions = sum (fun r -> r.Service.br_instructions);
           br_elapsed_s = dt;
           br_rps =
             (if dt > 0.0 then float_of_int !requests /. dt else 0.0);

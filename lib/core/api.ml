@@ -80,7 +80,6 @@ type translated = Exec.translated =
 
 let translate = Exec.translate
 let run_translated = Exec.run_translated
-let verify_translated = Exec.verify
 
 (* --- the unified run entry point --- *)
 
@@ -228,14 +227,10 @@ let run (r : request) (src : source) : run_result =
         | Interp -> run_interp ?fuel:r.fuel ?watchdog img
         | Fast -> Exec.run_fast ?fuel:r.fuel ?watchdog img
         | Target arch ->
-            let mode =
-              match r.mode with
-              | Some m -> m
-              | None ->
-                  if r.sfi then Machine.Mobile (Omni_sfi.Policy.make ())
-                  else Machine.Mobile Omni_sfi.Policy.off
+            let mode, opts =
+              Exec.resolve_config ~sfi:r.sfi ?mode:r.mode ?opts:r.opts arch
             in
-            let tr = translate ~mode ?opts:r.opts arch exe in
+            let tr = translate ~mode ~opts arch exe in
             run_translated ?fuel:r.fuel ?watchdog tr img)
   in
   let go () =
@@ -259,81 +254,7 @@ let run (r : request) (src : source) : run_result =
   | None -> go () (* inherit whatever tracer is ambient *)
   | Some t -> Trace.with_current t go
 
-(* --- thin compatibility wrappers over [run] --- *)
-
-let run_exe ?(engine = Interp) ?(sfi = true) ?mode ?opts ?fuel
-    ?(map_host_region = false) (exe : Omnivm.Exe.t) : run_result =
-  run { default_request with engine; sfi; mode; opts; fuel; map_host_region }
-    (Exe exe)
-
-let run_wire ~engine ?(sfi = true) ?fuel bytes : run_result =
-  match engine_of_string engine with
-  | Error msg -> invalid_arg msg
-  | Ok e -> run { default_request with engine = e; sfi; fuel } (Wire bytes)
-
-let run_wire_cached ~(service : Service.t) ~engine ?sfi ?fuel bytes :
-    run_result =
-  match engine_of_string engine with
-  | Error msg -> invalid_arg msg
-  | Ok e ->
-      run
-        {
-          default_request with
-          engine = e;
-          sfi = Option.value sfi ~default:true;
-          fuel;
-          service = Some service;
-        }
-        (Wire bytes)
-
-let run_wire_remote ~(remote : Net.Client.t) ~engine ?sfi ?fuel bytes :
-    run_result =
-  match engine_of_string engine with
-  | Error msg -> invalid_arg msg
-  | Ok e ->
-      run
-        {
-          default_request with
-          engine = e;
-          sfi = Option.value sfi ~default:true;
-          fuel;
-          remote = Some remote;
-        }
-        (Wire bytes)
-
-(* Remote run that also brings home the translation's safety witness —
-   proof-carrying translation end to end: the certificate decodes with
-   [Omni_cert.Certificate.decode] and re-checks locally against a local
-   translation of the same bytes via [Exec.check_cert]. *)
-let run_wire_remote_cert ~(remote : Net.Client.t) ~engine ?sfi ?fuel bytes :
-    run_result * string option =
-  match engine_of_string engine with
-  | Error msg -> invalid_arg msg
-  | Ok e -> (
-      try
-        let h = Net.Client.submit remote bytes in
-        Net.Client.run_cert ~engine:e ~sfi:(Option.value sfi ~default:true)
-          ?fuel ~want_cert:true remote h
-      with
-      | Net.Client.Remote_error (Net.Message.E_decode, msg) ->
-          raise (Omnivm.Wire.Bad_module msg)
-      | Net.Client.Remote_error (Net.Message.E_unknown_handle, _) ->
-          raise Omni_service.Store.Unknown_handle
-      | Net.Client.Remote_error (Net.Message.E_verifier_rejected, msg) ->
-          raise (Omni_service.Cache.Rejected msg)
-      | Net.Client.Remote_error (Net.Message.E_limit_exceeded, msg) ->
-          invalid_arg msg)
-
 (* --- compilation (re-exported for hosts embedding the front-ends) --- *)
 
 let compile = Minic.Driver.compile_wire
 let compile_exe = Minic.Driver.compile_exe
-
-(* The guest-ISA front-end: StackVM bytecode (or its assembly text)
-   lifted to an OmniVM wire module. *)
-let lift_guest = Omni_guest.Lift.lift_bytes
-
-let lift_guest_asm ?options source =
-  match Omni_guest.Asm.assemble source with
-  | Error e -> Error e
-  | Ok p -> Omni_guest.Lift.lift_wire ?options p

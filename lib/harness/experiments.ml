@@ -44,6 +44,22 @@ exception Harness_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Harness_error s)) fmt
 
+(* The harness's one timer, on the CPU clock ([Sys.time]) every section
+   reports in: the seconds [f] takes, as the mean over [reps] back-to-back
+   calls, and the best such mean over [batches] batches. Best-of-batches
+   is the noise-robust statistic for microsecond-scale hot paths:
+   interference only ever adds time. *)
+let time ?(batches = 1) ?(reps = 1) f =
+  let best = ref infinity in
+  for _ = 1 to batches do
+    let t0 = Sys.time () in
+    for _ = 1 to reps do
+      f ()
+    done;
+    best := Float.min !best ((Sys.time () -. t0) /. float_of_int reps)
+  done;
+  !best
+
 (* Compile + expected-output cache, keyed by (workload, regfile size). *)
 type prepared = {
   p_name : string;
@@ -59,7 +75,10 @@ let prepare ?(regfile_size = 16) (w : Omni_workloads.Workloads.t) : prepared =
   | None ->
       let options = { Minic.Driver.opt_level = Minic.Opt.O2; regfile_size } in
       let exe = Minic.Driver.compile_exe ~options ~name:w.name w.source in
-      let r = Api.run_exe ~engine:Api.Interp ~fuel:4_000_000_000 exe in
+      let r =
+        Api.run { Api.default_request with fuel = Some 4_000_000_000 }
+          (Api.Exe exe)
+      in
       (match r.Api.outcome with
       | Machine.Exited 0 -> ()
       | Machine.Exited c -> fail "%s exited %d under the interpreter" w.name c
@@ -100,8 +119,11 @@ let measure ?(regfile_size = 16) (w : Omni_workloads.Workloads.t)
       let p = prepare ~regfile_size w in
       let mode, opts = mode_and_opts arch config in
       let r =
-        Api.run_exe ~engine:(Api.Target arch) ~mode ~opts
-          ~fuel:4_000_000_000 p.p_exe
+        Api.run
+          { Api.default_request with
+            engine = Api.Target arch; mode = Some mode; opts = Some opts;
+            fuel = Some 4_000_000_000 }
+          (Api.Exe p.p_exe)
       in
       (match r.Api.outcome with
       | Machine.Exited 0 -> ()
@@ -340,12 +362,10 @@ let translation_speed ~size =
         (fun arch ->
           let mode = Machine.Mobile (Omni_sfi.Policy.make ()) in
           let opts = Api.mobile_opts arch in
-          let t0 = Sys.time () in
-          let reps = 20 in
-          for _ = 1 to reps do
-            ignore (Api.translate ~mode ~opts arch p.p_exe)
-          done;
-          let dt = (Sys.time () -. t0) /. float_of_int reps in
+          let dt =
+            time ~reps:20 (fun () ->
+                ignore (Api.translate ~mode ~opts arch p.p_exe))
+          in
           let rate = float_of_int n /. dt /. 1e6 in
           Buffer.add_string buf (Printf.sprintf "%10.1fM" rate))
         all_archs;
@@ -451,7 +471,7 @@ let service_amortization ~size =
     "Service: cold vs warm loads through the memoizing translation cache\n\
      (every request instantiates a fresh isolated image; a cold load pays\n\
      translate + verify, a warm load pays static re-verification only)\n\n";
-  let svc = Svc.create () in
+  let svc = Svc.of_config Svc.default_config in
   (* Trace with a Null sink into the service's own registry: no span
      storage, but every phase lands in the "phase.*" histograms, so the
      breakdown below and the serving counters come from one place. *)
@@ -541,7 +561,7 @@ let phase_breakdown ~size =
   let m = Omni_obs.Metrics.create () in
   let tracer = Omni_obs.Trace.make ~metrics:m Omni_obs.Trace.Null in
   Omni_obs.Trace.with_current tracer @@ fun () ->
-  let svc = Svc.create ~metrics:m () in
+  let svc = Svc.of_config ~metrics:m Svc.default_config in
   let fuel = 4_000_000_000 in
   List.iter
     (fun (w : Omni_workloads.Workloads.t) ->
@@ -579,16 +599,11 @@ let remote_overhead ~size =
      Every remote run's output is validated against the local result.\n\n";
   let fuel = 4_000_000_000 in
   (* remote stack: service behind a server behind the loopback client *)
-  let svc_r = Svc.create () in
+  let svc_r = Svc.of_config Svc.default_config in
   let server = Net.Server.create svc_r in
   let client = Net.Client.loopback server in
   (* ping round trip: the protocol floor (frame codec + dispatch only) *)
-  let pings = 1000 in
-  let t0 = Sys.time () in
-  for _ = 1 to pings do
-    Net.Client.ping client
-  done;
-  let ping_us = 1e6 *. (Sys.time () -. t0) /. float_of_int pings in
+  let ping_us = 1e6 *. time ~reps:1000 (fun () -> Net.Client.ping client) in
   Buffer.add_string buf
     (Printf.sprintf "protocol floor: %.1f us per ping round trip\n\n" ping_us);
   (* identical module set on both stacks *)
@@ -599,17 +614,12 @@ let remote_overhead ~size =
         (p, Omnivm.Wire.encode p.p_exe))
       ws
   in
-  let svc_l = Svc.create () in
+  let svc_l = Svc.of_config Svc.default_config in
   let remote_handles =
     List.map (fun (p, bytes) -> (p, Net.Client.submit client bytes)) prepared
   in
   let local_handles =
     List.map (fun (p, bytes) -> (p, Svc.submit svc_l bytes)) prepared
-  in
-  let time f =
-    let t0 = Sys.time () in
-    f ();
-    Sys.time () -. t0
   in
   let remote_round arch ~check () =
     List.iter
@@ -632,21 +642,9 @@ let remote_overhead ~size =
   List.iter
     (fun arch ->
       let cold_r = time (remote_round arch ~check:true) in
-      let warm_r =
-        time (fun () ->
-            for _ = 1 to warm_rounds do
-              remote_round arch ~check:true ()
-            done)
-        /. float_of_int warm_rounds
-      in
+      let warm_r = time ~reps:warm_rounds (remote_round arch ~check:true) in
       ignore (time (local_round arch));
-      let warm_l =
-        time (fun () ->
-            for _ = 1 to warm_rounds do
-              local_round arch ()
-            done)
-        /. float_of_int warm_rounds
-      in
+      let warm_l = time ~reps:warm_rounds (local_round arch) in
       Buffer.add_string buf
         (Printf.sprintf "%-8s %15.2f %15.2f %15.2f %9.2fx\n" (Arch.name arch)
            (1e3 *. cold_r) (1e3 *. warm_r) (1e3 *. warm_l)
@@ -683,7 +681,7 @@ let resilience ~size =
         (p, Omnivm.Wire.encode p.p_exe))
       ws
   in
-  let svc_l = Svc.create () in
+  let svc_l = Svc.of_config Svc.default_config in
   let local_handles =
     List.map (fun (p, bytes) -> (p, Svc.submit svc_l bytes)) prepared
   in
@@ -696,7 +694,7 @@ let resilience ~size =
        "injected" "retries" "rejected" "round (ms)");
   List.iter
     (fun rate ->
-      let svc = Svc.create () in
+      let svc = Svc.of_config Svc.default_config in
       let server = Net.Server.create svc in
       let retry = { Net.Retry.default with max_attempts = 12 } in
       let env = Net.Retry.manual_env () in
@@ -735,11 +733,7 @@ let resilience ~size =
               handles)
           all_archs
       in
-      let t0 = Sys.time () in
-      for _ = 1 to rounds do
-        round ()
-      done;
-      let per_round = 1e3 *. (Sys.time () -. t0) /. float_of_int rounds in
+      let per_round = 1e3 *. time ~reps:rounds round in
       let reg = Svc.metrics svc in
       let c name = Omni_obs.Metrics.value (Omni_obs.Metrics.counter reg name) in
       Buffer.add_string buf
@@ -784,23 +778,16 @@ let isolation ~size =
       prepared
   in
   let rounds = 3 in
-  let time f =
-    let t0 = Sys.time () in
-    for _ = 1 to rounds do
-      f ()
-    done;
-    (Sys.time () -. t0) /. float_of_int rounds
-  in
   (* warm the prepare cache so compilation never lands in a timing *)
-  ignore (time (round None));
-  let base = time (round None) in
+  ignore (time ~reps:rounds (round None));
+  let base = time ~reps:rounds (round None) in
   Buffer.add_string buf
     (Printf.sprintf "%-12s %12s %10s\n" "poll every" "round (ms)" "overhead");
   Buffer.add_string buf
     (Printf.sprintf "%-12s %12.2f %10s\n" "off" (1e3 *. base) "1.00x");
   List.iter
     (fun k ->
-      let t = time (round (Some k)) in
+      let t = time ~reps:rounds (round (Some k)) in
       Buffer.add_string buf
         (Printf.sprintf "%-12d %12.2f %9.2fx\n" k (1e3 *. t)
            (t /. Float.max 1e-9 base)))
@@ -849,18 +836,22 @@ let cert_measure ~size : cert_cell list =
                 (p, digest, Exec.translate ~mode ~opts arch p.p_exe))
               ws
           in
-          let t0 = Sys.time () in
-          let certs =
-            List.map
-              (fun (p, digest, tr) ->
-                match Exec.certify ~module_digest:digest ~mode ~opts tr with
-                | Ok c -> (p, digest, tr, Exec.fingerprint tr, c)
-                | Error msg ->
-                    fail "cert: %s/%s/%s refused certification: %s" p.p_name
-                      (Arch.name arch) pname msg)
-              items
+          let certs = ref [] in
+          let produce =
+            time (fun () ->
+                certs :=
+                  List.map
+                    (fun (p, digest, tr) ->
+                      match
+                        Exec.certify ~module_digest:digest ~mode ~opts tr
+                      with
+                      | Ok c -> (p, digest, tr, Exec.fingerprint tr, c)
+                      | Error msg ->
+                          fail "cert: %s/%s/%s refused certification: %s"
+                            p.p_name (Arch.name arch) pname msg)
+                    items)
           in
-          let produce = Sys.time () -. t0 in
+          let certs = !certs in
           let bytes =
             List.fold_left
               (fun acc (_, _, _, _, c) -> acc + String.length (Cert.encode c))
@@ -908,33 +899,19 @@ let cert_measure ~size : cert_cell list =
             f ();
             (* warmup *)
             let rec go batch =
-              let t0 = Sys.time () in
-              for _ = 1 to batch do
-                f ()
-              done;
-              if Sys.time () -. t0 >= 0.05 then batch else go (batch * 2)
+              if time ~reps:batch f *. float_of_int batch >= 0.05 then batch
+              else go (batch * 2)
             in
             go 1
           in
           let batch_full = calibrate run_full in
           let batch_check = calibrate run_check in
-          let best_full = ref infinity and best_check = ref infinity in
+          let full = ref infinity and check = ref infinity in
           for _ = 1 to 5 do
-            let t0 = Sys.time () in
-            for _ = 1 to batch_full do
-              run_full ()
-            done;
-            let e = Sys.time () -. t0 in
-            if e < !best_full then best_full := e;
-            let t0 = Sys.time () in
-            for _ = 1 to batch_check do
-              run_check ()
-            done;
-            let e = Sys.time () -. t0 in
-            if e < !best_check then best_check := e
+            full := Float.min !full (time ~reps:batch_full run_full);
+            check := Float.min !check (time ~reps:batch_check run_check)
           done;
-          let full = !best_full /. float_of_int batch_full in
-          let check = !best_check /. float_of_int batch_check in
+          let full = !full and check = !check in
           {
             cc_arch = Arch.name arch;
             cc_policy = pname;
@@ -955,7 +932,7 @@ let cert_validate ~size =
   let module SC = Omni_service.Counters in
   let module Exec = Omni_service.Exec in
   let ws = workloads ~size in
-  let svc = Svc.create () in
+  let svc = Svc.of_config Svc.default_config in
   let fuel = 4_000_000_000 in
   let handles =
     List.map
@@ -1092,7 +1069,7 @@ let concurrency_measure ~size : conc_run =
   let n =
     match size with Omni_workloads.Workloads.Test -> 192 | _ -> 384
   in
-  let svc = Svc.create () in
+  let svc = Svc.of_config Svc.default_config in
   let server = Net.Server.create svc in
   let handles =
     conc_tenants
@@ -1157,11 +1134,12 @@ let concurrency_measure ~size : conc_run =
       done
     in
     let w0 = Unix.gettimeofday () in
-    let c0 = Sys.time () in
-    let workers = List.init domains (fun d -> Domain.spawn (work d)) in
-    List.iter Domain.join workers;
+    let cpu =
+      time (fun () ->
+          List.init domains (fun d -> Domain.spawn (work d))
+          |> List.iter Domain.join)
+    in
     let wall = Unix.gettimeofday () -. w0 in
-    let cpu = Sys.time () -. c0 in
     Array.iteri
       (fun i d ->
         if not (Int64.equal d reference.(i)) then
@@ -1287,21 +1265,16 @@ let gprepare (w : Omni_workloads.Workloads.Guest.t) : gprepared =
    the standard noise-robust statistic for a deterministic hot path —
    it is what the bench gate diffs, so it must be reproducible. *)
 let glift_time (g : gprepared) : float =
-  let reps = 50 and batches = 5 in
-  let best = ref infinity in
-  for _ = 1 to batches do
-    let t0 = Sys.time () in
-    for _ = 1 to reps do
-      ignore (Omni_guest.Lift.lift_exe g.g_prog)
-    done;
-    let per = (Sys.time () -. t0) /. float_of_int reps in
-    if per < !best then best := per
-  done;
-  !best
+  time ~batches:5 ~reps:50 (fun () ->
+      ignore (Omni_guest.Lift.lift_exe g.g_prog))
 
 (* Run the lifted module and validate against the oracle's output. *)
 let grun (g : gprepared) ~engine ?mode ?opts () : Api.run_result =
-  let r = Api.run_exe ~engine ?mode ?opts ~fuel:2_000_000_000 g.g_exe in
+  let r =
+    Api.run
+      { Api.default_request with engine; mode; opts; fuel = Some 2_000_000_000 }
+      (Api.Exe g.g_exe)
+  in
   (match r.Api.outcome with
   | Machine.Exited 0 -> ()
   | Machine.Exited c -> fail "%s (lifted) exited %d" g.g_name c
@@ -1410,17 +1383,8 @@ let fastpath_measure ~size : fast_cell list =
         let program = Omnivm.Fastinterp.compile text in
         let predecode_s =
           (* lifting-style best-of-batches: pre-decode is ~microseconds *)
-          let preps = 20 in
-          let best = ref infinity in
-          for _ = 1 to batches do
-            let t0 = Sys.time () in
-            for _ = 1 to preps do
-              ignore (Omnivm.Fastinterp.compile text)
-            done;
-            let per = (Sys.time () -. t0) /. float_of_int preps in
-            if per < !best then best := per
-          done;
-          !best
+          time ~batches ~reps:20 (fun () ->
+              ignore (Omnivm.Fastinterp.compile text))
         in
         let timed run =
           (* a fresh image per rep (run state is consumed); images are
@@ -1495,8 +1459,11 @@ let pad_cycles (w : Omni_workloads.Workloads.t) (arch : Arch.t)
       let p = prepare w in
       let mode = Machine.Mobile (Omni_sfi.Policy.make ~pad ()) in
       let r =
-        Api.run_exe ~engine:(Api.Target arch) ~mode
-          ~opts:(Api.mobile_opts arch) ~fuel:4_000_000_000 p.p_exe
+        Api.run
+          { Api.default_request with
+            engine = Api.Target arch; mode = Some mode;
+            fuel = Some 4_000_000_000 }
+          (Api.Exe p.p_exe)
       in
       (match r.Api.outcome with
       | Machine.Exited 0 -> ()
@@ -1634,24 +1601,14 @@ let persist_measure ~size : persist_cell =
         ignore (Svc.instantiate ~engine:(Exec.Target Arch.X86) ~fuel svc h))
       ws
   in
-  let time f =
-    let t0 = Sys.time () in
-    let r = f () in
-    (Sys.time () -. t0, r)
-  in
   let persisted () =
     { Svc.default_config with Svc.persist = Some (Omni_persist.Io.real ~dir) }
   in
   (* untimed warm-up: fill the prepare cache and pay one-time lazy
      initialization so the first timed round isn't charged for it *)
-  round (Svc.create ());
+  round (Svc.of_config Svc.default_config);
   let pc_baseline_s =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let s, () = time (fun () -> round (Svc.create ())) in
-      if s < !best then best := s
-    done;
-    !best
+    time ~batches:3 (fun () -> round (Svc.of_config Svc.default_config))
   in
   (* cold requires an empty store, so each iteration wipes the directory;
      the last iteration's (never-closed) store is what the restarts below
@@ -1661,8 +1618,7 @@ let persist_measure ~size : persist_cell =
     for _ = 1 to 3 do
       cleanup ();
       let svc = Svc.of_config (persisted ()) in
-      let s, () = time (fun () -> round svc) in
-      if s < !best then best := s
+      best := Float.min !best (time (fun () -> round svc))
     done;
     !best
   in
@@ -1671,13 +1627,11 @@ let persist_measure ~size : persist_cell =
      dirty restart repeats without re-killing and can be taken
      best-of-three like the other scheduler-sensitive paths. *)
   let pc_dirty_restart_s, svc_warm =
-    let best = ref infinity and last = ref None in
-    for _ = 1 to 3 do
-      let s, svc = time (fun () -> Svc.of_config (persisted ())) in
-      if s < !best then best := s;
-      last := Some svc
-    done;
-    (!best, Option.get !last)
+    let last = ref None in
+    let s =
+      time ~batches:3 (fun () -> last := Some (Svc.of_config (persisted ())))
+    in
+    (s, Option.get !last)
   in
   let recovered =
     match Svc.recovery svc_warm with
@@ -1688,15 +1642,10 @@ let persist_measure ~size : persist_cell =
   in
   (* the warm round is idempotent (submits dedupe, the cache hits), so
      it too repeats; the counters are captured after the first round *)
-  let first_warm_s, () = time (fun () -> round svc_warm) in
+  let first_warm_s = time (fun () -> round svc_warm) in
   let stats = Svc.stats svc_warm in
   let pc_warm_round_s =
-    let best = ref first_warm_s in
-    for _ = 1 to 2 do
-      let s, () = time (fun () -> round svc_warm) in
-      if s < !best then best := s
-    done;
-    !best
+    Float.min first_warm_s (time ~batches:2 (fun () -> round svc_warm))
   in
   (* graceful shutdown commits the marker: the next open is the fast path *)
   Svc.close svc_warm;
@@ -1705,9 +1654,11 @@ let persist_measure ~size : persist_cell =
   let pc_clean_restart_s =
     let best = ref infinity in
     for _ = 1 to 3 do
-      let s, svc = time (fun () -> Svc.of_config (persisted ())) in
-      if s < !best then best := s;
-      Svc.close svc
+      let svc = ref None in
+      best :=
+        Float.min !best
+          (time (fun () -> svc := Some (Svc.of_config (persisted ()))));
+      Option.iter Svc.close !svc
     done;
     !best
   in
@@ -1786,7 +1737,7 @@ let bench_snapshot ~size : string =
   let phase_section =
     let tracer = Omni_obs.Trace.make ~metrics:m Omni_obs.Trace.Null in
     Omni_obs.Trace.with_current tracer @@ fun () ->
-    let svc = Svc.create ~metrics:m () in
+    let svc = Svc.of_config ~metrics:m Svc.default_config in
     List.iter
       (fun (w : Omni_workloads.Workloads.t) ->
         let p = prepare w in
@@ -1823,7 +1774,7 @@ let bench_snapshot ~size : string =
   in
   (* service: cold vs warm admission per arch, via the serving counters *)
   let service_section =
-    let svc = Svc.create () in
+    let svc = Svc.of_config Svc.default_config in
     let handles =
       List.map
         (fun (w : Omni_workloads.Workloads.t) ->
@@ -1859,10 +1810,10 @@ let bench_snapshot ~size : string =
   in
   (* remote: warm round trips over the loopback pair vs in-process *)
   let remote_section =
-    let svc_r = Svc.create () in
+    let svc_r = Svc.of_config Svc.default_config in
     let server = Net.Server.create svc_r in
     let client = Net.Client.loopback server in
-    let svc_l = Svc.create () in
+    let svc_l = Svc.of_config Svc.default_config in
     let prepared =
       List.map
         (fun (w : Omni_workloads.Workloads.t) ->
@@ -1871,11 +1822,6 @@ let bench_snapshot ~size : string =
     in
     let rh = List.map (Net.Client.submit client) prepared in
     let lh = List.map (Svc.submit svc_l) prepared in
-    let time f =
-      let t0 = Sys.time () in
-      f ();
-      Sys.time () -. t0
-    in
     List.map
       (fun arch ->
         let remote_round () =
@@ -1904,7 +1850,7 @@ let bench_snapshot ~size : string =
   let resilience_section =
     List.map
       (fun rate ->
-        let svc = Svc.create () in
+        let svc = Svc.of_config Svc.default_config in
         let server = Net.Server.create svc in
         let retry = { Net.Retry.default with max_attempts = 12 } in
         let env = Net.Retry.manual_env () in
@@ -1918,13 +1864,15 @@ let bench_snapshot ~size : string =
               Net.Client.submit client (Omnivm.Wire.encode (prepare w).p_exe))
             ws
         in
-        let t0 = Sys.time () in
-        List.iter
-          (fun h ->
-            ignore
-              (Net.Client.run ~engine:(Exec.Target Arch.X86) ~fuel client h))
-          handles;
-        let round = Sys.time () -. t0 in
+        let round =
+          time (fun () ->
+              List.iter
+                (fun h ->
+                  ignore
+                    (Net.Client.run ~engine:(Exec.Target Arch.X86) ~fuel
+                       client h))
+                handles)
+        in
         let key = Printf.sprintf "rate_%g" rate in
         Printf.sprintf "    \"%s\": {\"round_us\": %d}" key (us round))
       [ 0.0; 0.05 ]
@@ -1944,11 +1892,6 @@ let bench_snapshot ~size : string =
           in
           ignore (Exec.run_interp ~fuel ?watchdog img))
         prepared
-    in
-    let time f =
-      let t0 = Sys.time () in
-      f ();
-      Sys.time () -. t0
     in
     ignore (time (round None));
     let base = time (round None) in

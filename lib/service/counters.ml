@@ -2,7 +2,8 @@
    registry: every field is a named instrument in one registry per
    Service.t, so service stats, the bench harness, and `omnirun serve
    --metrics` all read one source of truth (and the phase histograms the
-   tracer records land in the same registry). *)
+   tracer records land in the same registry). Every export — snapshot,
+   Stats JSON in and out — is derived from the one [fields] table. *)
 
 module Metrics = Omni_obs.Metrics
 
@@ -34,50 +35,7 @@ type t = {
   quarantine_cleared : Metrics.counter;
   crash_reports : Metrics.counter;
   deadline_exceeded : Metrics.counter;
-  (* persistent store (names shared with Omni_persist via registry
-     dedupe: both layers read and bump the same instruments) *)
-  persist_append : Metrics.counter;
-  persist_replay : Metrics.counter;
-  persist_recovered : Metrics.counter;
-  persist_quarantined : Metrics.counter;
-  persist_torn : Metrics.counter;
 }
-
-let create ?metrics () =
-  let m = match metrics with Some m -> m | None -> Metrics.create () in
-  {
-    m;
-    submits = Metrics.counter m "service.submits";
-    modules = Metrics.counter m "service.modules";
-    dedup_hits = Metrics.counter m "service.dedup_hits";
-    bytes_stored = Metrics.counter m "service.bytes_stored";
-    predecode_hits = Metrics.counter m "vm.predecode.hit";
-    predecode_misses = Metrics.counter m "vm.predecode.miss";
-    hits = Metrics.counter m "service.cache.hits";
-    misses = Metrics.counter m "service.cache.misses";
-    evictions = Metrics.counter m "service.cache.evictions";
-    translations = Metrics.counter m "service.translations";
-    verifications = Metrics.counter m "service.verifications";
-    cert_checks = Metrics.counter m "service.cache.cert_check";
-    cert_full_verify = Metrics.counter m "service.cache.cert_full_verify";
-    verify_fail = Metrics.counter m "service.cache.verify_fail";
-    cold_translate = Metrics.histogram m "service.cold_translate_s";
-    warm_admit = Metrics.histogram m "service.warm_admit_s";
-    instantiations = Metrics.counter m "service.instantiations";
-    quarantine_trips = Metrics.counter m "service.quarantine.trips";
-    quarantine_refused = Metrics.counter m "service.quarantine.refused";
-    quarantine_cleared = Metrics.counter m "service.quarantine.cleared";
-    crash_reports = Metrics.counter m "exec.crash.reports";
-    deadline_exceeded = Metrics.counter m "exec.deadline.exceeded";
-    persist_append = Metrics.counter m "persist.append";
-    persist_replay = Metrics.counter m "persist.replay";
-    persist_recovered = Metrics.counter m "persist.recovered";
-    persist_quarantined = Metrics.counter m "persist.quarantined";
-    persist_torn = Metrics.counter m "persist.torn";
-  }
-
-let metrics t = t.m
-let reset t = Metrics.reset t.m
 
 (* --- immutable snapshot --- *)
 
@@ -111,40 +69,144 @@ type snapshot = {
   s_persist_torn : int;
 }
 
-let snapshot t : snapshot =
-  {
-    s_submits = Metrics.value t.submits;
-    s_modules = Metrics.value t.modules;
-    s_dedup_hits = Metrics.value t.dedup_hits;
-    s_bytes_stored = Metrics.value t.bytes_stored;
-    s_predecode_hits = Metrics.value t.predecode_hits;
-    s_predecode_misses = Metrics.value t.predecode_misses;
-    s_hits = Metrics.value t.hits;
-    s_misses = Metrics.value t.misses;
-    s_evictions = Metrics.value t.evictions;
-    s_translations = Metrics.value t.translations;
-    s_verifications = Metrics.value t.verifications;
-    s_cert_checks = Metrics.value t.cert_checks;
-    s_cert_full_verify = Metrics.value t.cert_full_verify;
-    s_verify_fail = Metrics.value t.verify_fail;
-    s_cold_translate_s = Metrics.histogram_sum t.cold_translate;
-    s_warm_admit_s = Metrics.histogram_sum t.warm_admit;
-    s_instantiations = Metrics.value t.instantiations;
-    s_quarantine_trips = Metrics.value t.quarantine_trips;
-    s_quarantine_refused = Metrics.value t.quarantine_refused;
-    s_quarantine_cleared = Metrics.value t.quarantine_cleared;
-    s_crash_reports = Metrics.value t.crash_reports;
-    s_deadline_exceeded = Metrics.value t.deadline_exceeded;
-    s_persist_append = Metrics.value t.persist_append;
-    s_persist_replay = Metrics.value t.persist_replay;
-    s_persist_recovered = Metrics.value t.persist_recovered;
-    s_persist_quarantined = Metrics.value t.persist_quarantined;
-    s_persist_torn = Metrics.value t.persist_torn;
-  }
+type field =
+  | Count of string * string * (snapshot -> int)
+  | Sum of string * string * (snapshot -> float)
+  | Rate of string * (snapshot -> float)
 
 let hit_rate s =
   let n = s.s_hits + s.s_misses in
   if n = 0 then 0.0 else float_of_int s.s_hits /. float_of_int n
+
+(* The one field table, in Stats JSON key order. The persist.* rows are
+   bumped by Omni_persist through the same registry names. *)
+let fields =
+  [
+    Count ("submits", "service.submits", fun s -> s.s_submits);
+    Count ("modules", "service.modules", fun s -> s.s_modules);
+    Count ("dedup_hits", "service.dedup_hits", fun s -> s.s_dedup_hits);
+    Count ("bytes_stored", "service.bytes_stored", fun s -> s.s_bytes_stored);
+    Count ("predecode_hits", "vm.predecode.hit", fun s -> s.s_predecode_hits);
+    Count ("predecode_misses", "vm.predecode.miss",
+      fun s -> s.s_predecode_misses);
+    Count ("hits", "service.cache.hits", fun s -> s.s_hits);
+    Count ("misses", "service.cache.misses", fun s -> s.s_misses);
+    Rate ("hit_rate", hit_rate);
+    Count ("evictions", "service.cache.evictions", fun s -> s.s_evictions);
+    Count ("translations", "service.translations", fun s -> s.s_translations);
+    Count ("verifications", "service.verifications",
+      fun s -> s.s_verifications);
+    Count ("cert_checks", "service.cache.cert_check", fun s -> s.s_cert_checks);
+    Count ("cert_full_verify", "service.cache.cert_full_verify",
+      fun s -> s.s_cert_full_verify);
+    Count ("verify_fail", "service.cache.verify_fail",
+      fun s -> s.s_verify_fail);
+    Sum ("cold_translate_s", "service.cold_translate_s",
+      fun s -> s.s_cold_translate_s);
+    Sum ("warm_admit_s", "service.warm_admit_s", fun s -> s.s_warm_admit_s);
+    Count ("instantiations", "service.instantiations",
+      fun s -> s.s_instantiations);
+    Count ("quarantine_trips", "service.quarantine.trips",
+      fun s -> s.s_quarantine_trips);
+    Count ("quarantine_refused", "service.quarantine.refused",
+      fun s -> s.s_quarantine_refused);
+    Count ("quarantine_cleared", "service.quarantine.cleared",
+      fun s -> s.s_quarantine_cleared);
+    Count ("crash_reports", "exec.crash.reports", fun s -> s.s_crash_reports);
+    Count ("deadline_exceeded", "exec.deadline.exceeded",
+      fun s -> s.s_deadline_exceeded);
+    Count ("persist_append", "persist.append", fun s -> s.s_persist_append);
+    Count ("persist_replay", "persist.replay", fun s -> s.s_persist_replay);
+    Count ("persist_recovered", "persist.recovered",
+      fun s -> s.s_persist_recovered);
+    Count ("persist_quarantined", "persist.quarantined",
+      fun s -> s.s_persist_quarantined);
+    Count ("persist_torn", "persist.torn", fun s -> s.s_persist_torn);
+  ]
+
+let registry_name key =
+  List.find_map
+    (function
+      | (Count (k, n, _) | Sum (k, n, _)) when String.equal k key -> Some n
+      | Count _ | Sum _ | Rate _ -> None)
+    fields
+  |> Option.get
+
+(* The one snapshot constructor: [i]/[f] read an integer/float field by
+   its JSON key. *)
+let of_lookup (i : string -> int) (f : string -> float) : snapshot =
+  {
+    s_submits = i "submits";
+    s_modules = i "modules";
+    s_dedup_hits = i "dedup_hits";
+    s_bytes_stored = i "bytes_stored";
+    s_predecode_hits = i "predecode_hits";
+    s_predecode_misses = i "predecode_misses";
+    s_hits = i "hits";
+    s_misses = i "misses";
+    s_evictions = i "evictions";
+    s_translations = i "translations";
+    s_verifications = i "verifications";
+    s_cert_checks = i "cert_checks";
+    s_cert_full_verify = i "cert_full_verify";
+    s_verify_fail = i "verify_fail";
+    s_cold_translate_s = f "cold_translate_s";
+    s_warm_admit_s = f "warm_admit_s";
+    s_instantiations = i "instantiations";
+    s_quarantine_trips = i "quarantine_trips";
+    s_quarantine_refused = i "quarantine_refused";
+    s_quarantine_cleared = i "quarantine_cleared";
+    s_crash_reports = i "crash_reports";
+    s_deadline_exceeded = i "deadline_exceeded";
+    s_persist_append = i "persist_append";
+    s_persist_replay = i "persist_replay";
+    s_persist_recovered = i "persist_recovered";
+    s_persist_quarantined = i "persist_quarantined";
+    s_persist_torn = i "persist_torn";
+  }
+
+let create ?metrics () =
+  let m = match metrics with Some m -> m | None -> Metrics.create () in
+  List.iter
+    (function
+      | Count (_, n, _) -> ignore (Metrics.counter m n)
+      | Sum (_, n, _) -> ignore (Metrics.histogram m n)
+      | Rate _ -> ())
+    fields;
+  let c key = Metrics.counter m (registry_name key) in
+  let h key = Metrics.histogram m (registry_name key) in
+  {
+    m;
+    submits = c "submits";
+    modules = c "modules";
+    dedup_hits = c "dedup_hits";
+    bytes_stored = c "bytes_stored";
+    predecode_hits = c "predecode_hits";
+    predecode_misses = c "predecode_misses";
+    hits = c "hits";
+    misses = c "misses";
+    evictions = c "evictions";
+    translations = c "translations";
+    verifications = c "verifications";
+    cert_checks = c "cert_checks";
+    cert_full_verify = c "cert_full_verify";
+    verify_fail = c "verify_fail";
+    cold_translate = h "cold_translate_s";
+    warm_admit = h "warm_admit_s";
+    instantiations = c "instantiations";
+    quarantine_trips = c "quarantine_trips";
+    quarantine_refused = c "quarantine_refused";
+    quarantine_cleared = c "quarantine_cleared";
+    crash_reports = c "crash_reports";
+    deadline_exceeded = c "deadline_exceeded";
+  }
+
+let metrics t = t.m
+
+let snapshot t =
+  of_lookup
+    (fun k -> Metrics.value (Metrics.counter t.m (registry_name k)))
+    (fun k -> Metrics.histogram_sum (Metrics.histogram t.m (registry_name k)))
 
 let render s =
   let b = Buffer.create 256 in
@@ -175,20 +237,18 @@ let render s =
     s.s_persist_quarantined s.s_persist_torn;
   Buffer.contents b
 
-let pp fmt s = Format.pp_print_string fmt (render s)
-
 let to_json s =
-  Printf.sprintf
-    "{\"submits\":%d,\"modules\":%d,\"dedup_hits\":%d,\"bytes_stored\":%d,\"predecode_hits\":%d,\"predecode_misses\":%d,\"hits\":%d,\"misses\":%d,\"hit_rate\":%.4f,\"evictions\":%d,\"translations\":%d,\"verifications\":%d,\"cert_checks\":%d,\"cert_full_verify\":%d,\"verify_fail\":%d,\"cold_translate_s\":%.6f,\"warm_admit_s\":%.6f,\"instantiations\":%d,\"quarantine_trips\":%d,\"quarantine_refused\":%d,\"quarantine_cleared\":%d,\"crash_reports\":%d,\"deadline_exceeded\":%d,\"persist_append\":%d,\"persist_replay\":%d,\"persist_recovered\":%d,\"persist_quarantined\":%d,\"persist_torn\":%d}"
-    s.s_submits s.s_modules s.s_dedup_hits s.s_bytes_stored
-    s.s_predecode_hits s.s_predecode_misses s.s_hits
-    s.s_misses (hit_rate s) s.s_evictions s.s_translations s.s_verifications
-    s.s_cert_checks s.s_cert_full_verify s.s_verify_fail
-    s.s_cold_translate_s s.s_warm_admit_s s.s_instantiations
-    s.s_quarantine_trips s.s_quarantine_refused s.s_quarantine_cleared
-    s.s_crash_reports s.s_deadline_exceeded s.s_persist_append
-    s.s_persist_replay s.s_persist_recovered s.s_persist_quarantined
-    s.s_persist_torn
+  let b = Buffer.create 640 in
+  List.iteri
+    (fun i field ->
+      Buffer.add_string b (if i = 0 then "{" else ",");
+      match field with
+      | Count (k, _, get) -> Printf.bprintf b "\"%s\":%d" k (get s)
+      | Sum (k, _, get) -> Printf.bprintf b "\"%s\":%.6f" k (get s)
+      | Rate (k, get) -> Printf.bprintf b "\"%s\":%.4f" k (get s))
+    fields;
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 (* Inverse of [to_json], total on arbitrary text: the writer is ours and
    emits one flat object of numeric fields, so a comma/colon scanner
@@ -196,7 +256,7 @@ let to_json s =
    are ignored; missing keys read as zero, so snapshots from before a
    field existed still parse. [hit_rate] is derived, not stored. *)
 let of_json text : snapshot =
-  let fields =
+  let pairs =
     match (String.index_opt text '{', String.rindex_opt text '}') with
     | Some i, Some j when j > i ->
         String.sub text (i + 1) (j - i - 1)
@@ -222,41 +282,13 @@ let of_json text : snapshot =
     | _ -> []
   in
   let geti k =
-    match List.assoc_opt k fields with
+    match List.assoc_opt k pairs with
     | Some v -> ( match int_of_string_opt v with Some n -> n | None -> 0)
     | None -> 0
   in
   let getf k =
-    match List.assoc_opt k fields with
+    match List.assoc_opt k pairs with
     | Some v -> ( match float_of_string_opt v with Some f -> f | None -> 0.0)
     | None -> 0.0
   in
-  {
-    s_submits = geti "submits";
-    s_modules = geti "modules";
-    s_dedup_hits = geti "dedup_hits";
-    s_bytes_stored = geti "bytes_stored";
-    s_predecode_hits = geti "predecode_hits";
-    s_predecode_misses = geti "predecode_misses";
-    s_hits = geti "hits";
-    s_misses = geti "misses";
-    s_evictions = geti "evictions";
-    s_translations = geti "translations";
-    s_verifications = geti "verifications";
-    s_cert_checks = geti "cert_checks";
-    s_cert_full_verify = geti "cert_full_verify";
-    s_verify_fail = geti "verify_fail";
-    s_cold_translate_s = getf "cold_translate_s";
-    s_warm_admit_s = getf "warm_admit_s";
-    s_instantiations = geti "instantiations";
-    s_quarantine_trips = geti "quarantine_trips";
-    s_quarantine_refused = geti "quarantine_refused";
-    s_quarantine_cleared = geti "quarantine_cleared";
-    s_crash_reports = geti "crash_reports";
-    s_deadline_exceeded = geti "deadline_exceeded";
-    s_persist_append = geti "persist_append";
-    s_persist_replay = geti "persist_replay";
-    s_persist_recovered = geti "persist_recovered";
-    s_persist_quarantined = geti "persist_quarantined";
-    s_persist_torn = geti "persist_torn";
-  }
+  of_lookup geti getf

@@ -43,21 +43,13 @@ type t = {
   quarantine_cleared : Metrics.counter;  (** manual clears *)
   crash_reports : Metrics.counter;  (** faulted runs reported *)
   deadline_exceeded : Metrics.counter;  (** watchdog faults among them *)
-  (* persistent store (see {!Omni_persist.Store}; both layers share these
-     instruments by registry name dedupe) *)
-  persist_append : Metrics.counter;  (** records journaled to disk *)
-  persist_replay : Metrics.counter;  (** journal records replayed at open *)
-  persist_recovered : Metrics.counter;  (** records re-admitted after proof *)
-  persist_quarantined : Metrics.counter;  (** records refused, with reason *)
-  persist_torn : Metrics.counter;  (** torn tails dropped *)
 }
 
 val create : ?metrics:Metrics.t -> unit -> t
-(** Register the serving instruments in [metrics] (default: a fresh
-    registry). *)
+(** Register every instrument of {!fields} in [metrics] (default: a
+    fresh registry). *)
 
 val metrics : t -> Metrics.t
-val reset : t -> unit
 
 (** Immutable reading of every instrument — what {!Service.stats}
     returns. *)
@@ -91,21 +83,32 @@ type snapshot = {
   s_persist_torn : int;
 }
 
-val snapshot : t -> snapshot
+(** One row of the field table: a Stats JSON key with the registry
+    instrument behind it (a counter, or a histogram read as its sum in
+    seconds) and the snapshot field holding its reading; [Rate] is the
+    derived cache hit rate, written but never stored. *)
+type field =
+  | Count of string * string * (snapshot -> int)
+  | Sum of string * string * (snapshot -> float)
+  | Rate of string * (snapshot -> float)
 
-val hit_rate : snapshot -> float
-(** Hits over (hits + misses); 0 when the cache was never consulted. *)
+val fields : field list
+(** Every exported reading, in Stats JSON key order. {!create},
+    {!snapshot}, {!to_json} and {!of_json} all derive from it: adding a
+    counter is one row here plus its {!snapshot} field (read by key in
+    the one snapshot constructor), and a record field in {!t} if a layer
+    bumps it. *)
+
+val snapshot : t -> snapshot
 
 val render : snapshot -> string
 (** Multi-line human-readable form. *)
 
-val pp : Format.formatter -> snapshot -> unit
-
 val to_json : snapshot -> string
-(** One-line JSON object (what [omnirun serve --stats] prints). Every
-    snapshot field is present (plus the derived [hit_rate]); adding a
-    counter means extending snapshot, render, [to_json] {e and}
-    [of_json] together — the qcheck round-trip test enforces it. *)
+(** One-line JSON object (what [omnirun serve --stats] and [omnid]'s
+    Stats reply print): one key per {!fields} row, in table order;
+    integers in decimal, histogram sums as [%.6f], [hit_rate] as
+    [%.4f]. *)
 
 val of_json : string -> snapshot
 (** Inverse of {!to_json}; total on arbitrary text (unknown keys

@@ -216,14 +216,23 @@ type translated =
   | T_risc of Risc.program
   | T_x86 of X86.program
 
-let translate ?(mode : Machine.mode option) ?opts (arch : Arch.t)
-    (exe : Omnivm.Exe.t) : translated =
+(* The one place a run's [sfi] flag becomes a translation mode: every
+   path that runs a request (Api.run, Service.instantiate, Supervise.replay)
+   derives (mode, opts) here, so a direct run, a served run and a replay of
+   the same request translate identically. *)
+let resolve_config ?(sfi = true) ?mode ?opts (arch : Arch.t) =
   let mode =
     match mode with
     | Some m -> m
-    | None -> Machine.Mobile (Omni_sfi.Policy.make ())
+    | None ->
+        Machine.Mobile
+          (if sfi then Omni_sfi.Policy.make () else Omni_sfi.Policy.off)
   in
   let opts = match opts with Some o -> o | None -> mobile_opts arch in
+  (mode, opts)
+
+let translate ?mode ?opts (arch : Arch.t) (exe : Omnivm.Exe.t) : translated =
+  let mode, opts = resolve_config ?mode ?opts arch in
   Trace.phase "translate" ~attrs:[ ("arch", Arch.name arch) ] @@ fun () ->
   Trace.count ~by:(Array.length exe.Omnivm.Exe.text) "translate.omni_instrs";
   match arch with

@@ -82,14 +82,24 @@ type translated =
   | T_risc of Omni_targets.Risc.program
   | T_x86 of Omni_targets.X86.program
 
+val resolve_config :
+  ?sfi:bool ->
+  ?mode:Machine.mode ->
+  ?opts:Machine.topts ->
+  Arch.t ->
+  Machine.mode * Machine.topts
+(** The translation configuration a run request names: [mode] when
+    given, else sandboxed mobile code ([sfi], default true) or
+    unsandboxed mobile code ([sfi = false]); [opts] when given, else
+    {!mobile_opts}. Every run path derives its configuration here. *)
+
 val translate :
   ?mode:Machine.mode ->
   ?opts:Machine.topts ->
   Arch.t ->
   Omnivm.Exe.t ->
   translated
-(** Load-time translation. [mode] defaults to sandboxed mobile code;
-    [opts] defaults to {!mobile_opts}. *)
+(** Load-time translation under {!resolve_config}'s defaults. *)
 
 val run_translated :
   ?fuel:int ->

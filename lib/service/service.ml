@@ -82,20 +82,6 @@ let close t =
       Omni_persist.Store.flush p;
       Omni_persist.Store.close p
 
-(* Pre-config entry point, kept as a thin wrapper over [of_config]. *)
-let create ?cache_capacity ?metrics ?quarantine ?deadline_s ?watchdog_poll
-    ?(clock = Supervise.wall_clock) ?on_crash () =
-  of_config ?metrics ~clock
-    {
-      default_config with
-      cache_capacity =
-        Option.value cache_capacity ~default:default_config.cache_capacity;
-      quarantine;
-      deadline_s;
-      watchdog_poll;
-      on_crash;
-    }
-
 let submit ?producer t bytes = Store.submit ?producer t.store bytes
 let metrics t = Counters.metrics t.c
 
@@ -111,21 +97,6 @@ let quarantined t =
   match t.quarantine with
   | None -> []
   | Some q -> Supervise.Quarantine.active q
-
-(* Resolve the translation configuration exactly as Api.run does, so a
-   service run and a direct run of the same request are the same
-   computation — the observational-identity tests rely on this. *)
-let resolve_config ?sfi ?mode ?opts arch =
-  let mode =
-    match mode with
-    | Some m -> m
-    | None ->
-        if Option.value sfi ~default:true then
-          Machine.Mobile (Omni_sfi.Policy.make ())
-        else Machine.Mobile Omni_sfi.Policy.off
-  in
-  let opts = match opts with Some o -> o | None -> Exec.mobile_opts arch in
-  (mode, opts)
 
 (* Post-run supervision: count and report the crash, feed the quarantine.
    The quarantine is fed every outcome (clean exits reset strikes); the
@@ -184,7 +155,7 @@ let instantiate ?(engine = Exec.Interp) ?(sfi = true) ?mode ?opts ?fuel
           ~program:(Store.predecoded t.store h)
           img
     | Exec.Target arch ->
-        let mode, opts = resolve_config ~sfi ?mode ?opts arch in
+        let mode, opts = Exec.resolve_config ~sfi ?mode ?opts arch in
         let key = Cache.key ~digest:(Store.digest h) ~arch ~mode ~opts in
         let tr = Cache.find_or_translate t.cache key (Store.exe t.store h) in
         Exec.run_translated ?fuel ?watchdog tr img
@@ -192,7 +163,7 @@ let instantiate ?(engine = Exec.Interp) ?(sfi = true) ?mode ?opts ?fuel
   supervise_result t h ~engine ~sfi ?fuel res
 
 let cached ?sfi ?mode ?opts ~arch t h =
-  let mode, opts = resolve_config ?sfi ?mode ?opts arch in
+  let mode, opts = Exec.resolve_config ?sfi ?mode ?opts arch in
   Cache.peek t.cache (Cache.key ~digest:(Store.digest h) ~arch ~mode ~opts)
 
 let certificate ?sfi ?mode ?opts ~arch t h =

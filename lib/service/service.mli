@@ -63,21 +63,6 @@ val of_config : ?metrics:Omni_obs.Metrics.t -> ?clock:Omni_util.Clock.t ->
     drives watchdog deadlines; both are capabilities rather than
     configuration, hence not in {!config}. *)
 
-val create :
-  ?cache_capacity:int ->
-  ?metrics:Omni_obs.Metrics.t ->
-  ?quarantine:Supervise.Quarantine.config ->
-  ?deadline_s:float ->
-  ?watchdog_poll:int ->
-  ?clock:Omni_util.Clock.t ->
-  ?on_crash:(Supervise.report -> unit) ->
-  unit ->
-  t
-(** (deprecated) The pre-{!config} entry point, now a thin wrapper over
-    {!of_config} with each option mapping to the config field of the
-    same name. Kept so existing callers and tests build unchanged;
-    prefer {!of_config} in new code. *)
-
 val metrics : t -> Omni_obs.Metrics.t
 (** The backing metrics registry (serving counters + anything else
     registered in it). *)
@@ -108,10 +93,10 @@ val instantiate :
   Store.handle ->
   Exec.run_result
 (** Run the module named by the handle on a fresh isolated image.
-    Defaults mirror [Api.run_exe]: the interpreter engine; for target
-    engines, sandboxed mobile code ([sfi], default true, ignored when
-    [mode] is given) with the per-arch translator options. [deadline_s]
-    overrides the service-wide wall-clock budget for this run.
+    Defaults match [Api.default_request]: the interpreter engine; for
+    target engines, the mode and options {!Exec.resolve_config} derives
+    ([sfi] defaults to true). [deadline_s] overrides the service-wide
+    wall-clock budget for this run.
     @raise Store.Unknown_handle on a foreign handle.
     @raise Cache.Rejected if the SFI verifier rejects the translation.
     @raise Supervise.Quarantine.Quarantined when the module's breaker is
@@ -151,7 +136,7 @@ val certificate :
 
 val stats : t -> Counters.snapshot
 (** An immutable reading of the shared counters — see
-    {!Counters.snapshot}, {!Counters.pp}, {!Counters.to_json}. *)
+    {!Counters.snapshot}, {!Counters.render}, {!Counters.to_json}. *)
 
 val render_stats : t -> string
 

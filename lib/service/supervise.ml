@@ -426,14 +426,9 @@ let replay ?watchdog ?engine (r : report) : Exec.run_result =
   | Exec.Interp -> Exec.run_interp ?fuel ?watchdog img
   | Exec.Fast -> Exec.run_fast ?fuel ?watchdog img
   | Exec.Target arch ->
-      (* Mirror Service.resolve_config / Api.run: the bundle records the
-         request as expressible on the wire (engine, sfi, fuel); mode and
-         opts derive from sfi exactly as they did on the original run. *)
-      let mode =
-        if r.r_sfi then Machine.Mobile (Omni_sfi.Policy.make ())
-        else Machine.Mobile Omni_sfi.Policy.off
-      in
-      let opts = Exec.mobile_opts arch in
+      (* The bundle records the request as expressible on the wire
+         (engine, sfi, fuel); mode and opts derive from sfi. *)
+      let mode, opts = Exec.resolve_config ~sfi:r.r_sfi arch in
       let tr = Exec.translate ~mode ~opts arch exe in
       Exec.run_translated ?fuel ?watchdog tr img
 

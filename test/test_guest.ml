@@ -111,25 +111,30 @@ let qcheck_differential =
                what r.Api.exit_code expect_exit;
            true
          in
+         let req = { Api.default_request with fuel = Some fuel } in
          let exe = lift_ok p in
          let ok =
-           check "interp" (Api.run_exe ~engine:Api.Interp ~fuel exe)
+           check "interp" (Api.run req (Api.Exe exe))
            && List.for_all
                 (fun arch ->
                   List.for_all
                     (fun sfi ->
                       check
                         (Printf.sprintf "%s/sfi=%b" (Arch.name arch) sfi)
-                        (Api.run_exe ~engine:(Api.Target arch) ~sfi ~fuel exe))
+                        (Api.run
+                           { req with engine = Api.Target arch; sfi }
+                           (Api.Exe exe)))
                     [ true; false ])
                 all_archs
          in
          (* starved pool: same seeds through the spill paths *)
          let spilly = lift_ok ~options:{ Guest.Lift.pool = 2 } p in
          ok
-         && check "interp/pool=2" (Api.run_exe ~engine:Api.Interp ~fuel spilly)
+         && check "interp/pool=2" (Api.run req (Api.Exe spilly))
          && check "mips/pool=2"
-              (Api.run_exe ~engine:(Api.Target Arch.Mips) ~fuel spilly)))
+              (Api.run
+                 { req with engine = Api.Target Arch.Mips }
+                 (Api.Exe spilly))))
 
 (* --- 3. typed refusal -------------------------------------------------- *)
 
@@ -251,7 +256,7 @@ let cached_serving_identity () =
   let p = asm_exn subject in
   let oracle = Guest.Interp.run p in
   let wire = Omnivm.Wire.encode (lift_ok p) in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let run () =
     Api.run
       { Api.default_request with

@@ -317,7 +317,7 @@ let qcheck_message_corruption =
 (* --- end-to-end over the in-memory transport --- *)
 
 let with_loopback f =
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let server = Server.create svc in
   let client = Client.loopback server in
   f svc server client
@@ -370,8 +370,12 @@ let e2e_native_mode () =
       ~mode:(Msg.M_native Machine.Gcc) ~fuel client h
   in
   let local =
-    Api.run_exe ~engine:(Exec.Target Arch.Ppc) ~mode:(Machine.Native Machine.Gcc)
-      ~fuel (Omnivm.Wire.decode bytes)
+    Api.run
+      { Api.default_request with
+        engine = Exec.Target Arch.Ppc;
+        mode = Some (Machine.Native Machine.Gcc);
+        fuel = Some fuel }
+      (Api.Exe (Omnivm.Wire.decode bytes))
   in
   check_same_result "native-gcc baseline over the wire" local remote
 
@@ -443,7 +447,7 @@ let hostile_frames () =
    length field); honest size admission is the server's module-byte
    quota, tested in test_fault.ml. *)
 let frame_boundaries () =
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let cap = 64 in
   let server =
     Server.create
@@ -522,11 +526,15 @@ let verifier_rejected () =
 let api_remote_path () =
   with_loopback @@ fun _svc _server client ->
   let bytes = Lazy.force hello_bytes in
-  let local = Api.run_wire ~engine:"x86" ~fuel bytes in
-  let remote = Api.run_wire_remote ~remote:client ~engine:"x86" ~fuel bytes in
-  check_same_result "run_wire_remote = run_wire" local remote;
+  let req =
+    { Api.default_request with engine = Exec.Target Arch.X86; fuel = Some fuel }
+  in
+  let local = Api.run req (Api.Wire bytes) in
+  let remote = { req with remote = Some client } in
+  check_same_result "remote run = local run" local
+    (Api.run remote (Api.Wire bytes));
   (* remote refusals surface as the local exceptions *)
-  (match Api.run_wire_remote ~remote:client ~engine:"x86" "garbage" with
+  (match Api.run remote (Api.Wire "garbage") with
   | _ -> Alcotest.fail "garbage ran"
   | exception Omnivm.Wire.Bad_module _ -> ());
   match
@@ -565,7 +573,7 @@ let socket_e2e () =
                parent. _exit so alcotest's at_exit never runs here. *)
             (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
              with Invalid_argument _ -> ());
-            let svc = Service.create () in
+            let svc = Service.of_config Service.default_config in
             let server = Server.create svc in
             (try Server.serve server listen_fd with _ -> ());
             Unix._exit 0
@@ -595,7 +603,10 @@ let socket_e2e () =
                   Client.run ~engine:(Exec.Target Arch.X86) ~fuel client h
                 in
                 let local =
-                  Api.run_wire ~engine:"x86" ~fuel bytes
+                  Api.run
+                    { Api.default_request with
+                      engine = Exec.Target Arch.X86; fuel = Some fuel }
+                    (Api.Wire bytes)
                 in
                 check_same_result "socket run = local run" local remote;
                 (* hostile frame on a second connection; the daemon
@@ -660,7 +671,7 @@ let socket_stall_retry () =
                Transport.close conn
              with _ -> ());
             (* then behave *)
-            let svc = Service.create () in
+            let svc = Service.of_config Service.default_config in
             let server = Server.create svc in
             (try Server.serve server listen_fd with _ -> ());
             Unix._exit 0
@@ -690,7 +701,12 @@ let socket_stall_retry () =
                     let remote =
                       Client.run ~engine:(Exec.Target Arch.X86) ~fuel client h
                     in
-                    let local = Api.run_wire ~engine:"x86" ~fuel bytes in
+                    let local =
+                      Api.run
+                        { Api.default_request with
+                          engine = Exec.Target Arch.X86; fuel = Some fuel }
+                        (Api.Wire bytes)
+                    in
                     check_same_result "post-stall run = local run" local remote);
                 Alcotest.(check bool) "the stalled attempt was retried" true
                   (Omni_obs.Metrics.value

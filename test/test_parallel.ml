@@ -138,11 +138,11 @@ let hammer_service () =
   let sched = schedule n in
   let bytes = [| Lazy.force hello_bytes; Lazy.force loop_bytes |] in
   (* serial reference on its own service *)
-  let ref_svc = Service.create () in
+  let ref_svc = Service.of_config Service.default_config in
   let ref_handles = Array.map (Service.submit ref_svc) bytes in
   let reference = Array.init n (run_schedule ref_svc ref_handles sched) in
   (* the shared service, hammered by [domains] domains on a stride *)
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let handles = Array.map (Service.submit svc) bytes in
   let results = Array.make n None in
   let worker d () =
@@ -173,7 +173,7 @@ let hammer_service () =
   Alcotest.(check int) "no admission failures" 0 c.Counters.s_verify_fail
 
 let store_concurrent_dedup () =
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let bytes = Lazy.force hello_bytes in
   let per_domain = 4 in
   let submitter () =
@@ -202,7 +202,7 @@ let store_concurrent_dedup () =
 let hammer_predecode () =
   let bytes = [| Lazy.force hello_bytes; Lazy.force loop_bytes |] in
   let per_domain = 6 in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let handles = Array.map (Service.submit svc) bytes in
   let expected =
     Array.map
@@ -276,7 +276,7 @@ let hammer_persistent_store () =
       handles.(m)
   in
   (* serial reference on a non-persistent service *)
-  let ref_svc = Service.create () in
+  let ref_svc = Service.of_config Service.default_config in
   let ref_handles = Array.map (Service.submit ref_svc) bytes in
   let reference = Array.init n (run ref_svc ref_handles) in
   let io = Omni_persist.Io.sim () in
@@ -341,7 +341,7 @@ let hammer_persistent_store () =
 (* --- server dispatch hammer: handle_request from several domains --- *)
 
 let hammer_server_dispatch () =
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let server = Server.create svc in
   let handle =
     match Server.handle_request server (Msg.Submit (Lazy.force hello_bytes)) with
@@ -391,7 +391,7 @@ let read_error_resp conn =
 
 let backpressure_sheds_typed () =
   let reg = Metrics.create () in
-  let svc = Service.create ~metrics:reg () in
+  let svc = Service.of_config ~metrics:reg Service.default_config in
   let config =
     { Server.default_config with pool_size = 2; queue_depth = 2 }
   in

@@ -41,7 +41,7 @@ let check_same_result what (a : Exec.run_result) (b : Exec.run_result) =
 (* --- store --- *)
 
 let store_dedup () =
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let bytes = Lazy.force hello_bytes in
   let h1 = Service.submit svc bytes in
   let h2 = Service.submit svc bytes in
@@ -54,7 +54,7 @@ let store_dedup () =
     c.Counters.s_bytes_stored
 
 let store_rejects_garbage () =
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   match Service.submit svc "not a module" with
   | _ -> Alcotest.fail "store admitted malformed bytes"
   | exception Omnivm.Wire.Bad_module _ -> ()
@@ -62,7 +62,7 @@ let store_rejects_garbage () =
 let store_digests_differ () =
   let b1 = Lazy.force hello_bytes in
   let b2 = Api.compile ~name:"other" "int main(void) { return 1; }" in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let h1 = Service.submit svc b1 in
   let h2 = Service.submit svc b2 in
   Alcotest.(check bool) "distinct handles" false (Store.equal_handle h1 h2);
@@ -73,7 +73,7 @@ let store_digests_differ () =
 let identity_one ~arch ~sfi () =
   let bytes = Lazy.force hello_bytes in
   let engine = Exec.Target arch in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let h = Service.submit svc bytes in
   let cold = Service.instantiate ~engine ~sfi ~fuel svc h in
   let warm = Service.instantiate ~engine ~sfi ~fuel svc h in
@@ -84,7 +84,10 @@ let identity_one ~arch ~sfi () =
   check_same_result "warm vs cold" cold warm;
   (* and both must match the uncached façade path *)
   let direct =
-    Api.run_wire ~engine:(Arch.name arch) ~sfi ~fuel bytes
+    Api.run
+      { Api.default_request with
+        engine = Exec.Target arch; sfi; fuel = Some fuel }
+      (Api.Wire bytes)
   in
   check_same_result "cold vs uncached" direct cold;
   Alcotest.(check bool) "exited 0" true (cold.Exec.exit_code = 0)
@@ -102,12 +105,14 @@ let identity_cases =
 
 let interp_cached () =
   let bytes = Lazy.force hello_bytes in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let h = Service.submit svc bytes in
   let r1 = Service.instantiate ~fuel svc h in
   let r2 = Service.instantiate ~fuel svc h in
   check_same_result "interp twice" r1 r2;
-  let direct = Api.run_wire ~engine:"interp" ~fuel bytes in
+  let direct =
+    Api.run { Api.default_request with fuel = Some fuel } (Api.Wire bytes)
+  in
   check_same_result "interp vs uncached" direct r1;
   let c = Service.stats svc in
   Alcotest.(check int) "interp never translates" 0 c.Counters.s_translations;
@@ -117,7 +122,7 @@ let interp_cached () =
 
 let cached_artifacts_verify () =
   let bytes = Lazy.force hello_bytes in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let h = Service.submit svc bytes in
   List.iter
     (fun arch ->
@@ -153,7 +158,7 @@ let cached_artifacts_verify () =
 
 let nosfi_not_applicable () =
   let bytes = Lazy.force hello_bytes in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let h = Service.submit svc bytes in
   ignore
     (Service.instantiate ~engine:(Exec.Target Arch.Mips) ~sfi:false ~fuel svc h);
@@ -170,7 +175,7 @@ let nosfi_not_applicable () =
 let cached_equals_fresh () =
   let bytes = Lazy.force hello_bytes in
   let exe = Omnivm.Wire.decode bytes in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let h = Service.submit svc bytes in
   List.iter
     (fun arch ->
@@ -223,7 +228,9 @@ let lru_capacity_zero () =
 
 let cache_capacity_zero_disables () =
   let bytes = Lazy.force hello_bytes in
-  let svc = Service.create ~cache_capacity:0 () in
+  let svc =
+    Service.of_config { Service.default_config with cache_capacity = 0 }
+  in
   let h = Service.submit svc bytes in
   let r1 = Service.instantiate ~engine:(Exec.Target Arch.X86) ~fuel svc h in
   let r2 = Service.instantiate ~engine:(Exec.Target Arch.X86) ~fuel svc h in
@@ -234,7 +241,9 @@ let cache_capacity_zero_disables () =
 
 let cache_eviction_counted () =
   let bytes = Lazy.force hello_bytes in
-  let svc = Service.create ~cache_capacity:1 () in
+  let svc =
+    Service.of_config { Service.default_config with cache_capacity = 1 }
+  in
   let h = Service.submit svc bytes in
   let run arch =
     ignore (Service.instantiate ~engine:(Exec.Target arch) ~fuel svc h)
@@ -248,14 +257,18 @@ let cache_eviction_counted () =
   Alcotest.(check int) "two evictions" 2 c.Counters.s_evictions;
   Alcotest.(check int) "no hits at capacity 1" 0 c.Counters.s_hits
 
-(* --- run_wire_cached façade --- *)
+(* --- Api.run through a service --- *)
 
-let run_wire_cached_matches () =
+let served_run_matches () =
   let bytes = Lazy.force hello_bytes in
-  let svc = Service.create () in
-  let direct = Api.run_wire ~engine:"ppc" ~fuel bytes in
-  let c1 = Api.run_wire_cached ~service:svc ~engine:"ppc" ~fuel bytes in
-  let c2 = Api.run_wire_cached ~service:svc ~engine:"ppc" ~fuel bytes in
+  let svc = Service.of_config Service.default_config in
+  let req =
+    { Api.default_request with engine = Exec.Target Arch.Ppc; fuel = Some fuel }
+  in
+  let direct = Api.run req (Api.Wire bytes) in
+  let served = { req with service = Some svc } in
+  let c1 = Api.run served (Api.Wire bytes) in
+  let c2 = Api.run served (Api.Wire bytes) in
   check_same_result "cached vs direct" direct c1;
   check_same_result "second cached" direct c2;
   let c = Service.stats svc in
@@ -330,12 +343,16 @@ let service_matches_uncached (seed : int) : bool =
   let src = gen_minic_program rng in
   let arch, sfi, opts = gen_config rng in
   let bytes = Api.compile ~name:"rand" src in
-  let svc = Service.create () in
+  let svc = Service.of_config Service.default_config in
   let h = Service.submit svc bytes in
   let engine = Exec.Target arch in
   let cold = Service.instantiate ~engine ~sfi ?opts ~fuel svc h in
   let warm = Service.instantiate ~engine ~sfi ?opts ~fuel svc h in
-  let direct = Api.run_exe ~engine ~sfi ?opts ~fuel (Omnivm.Wire.decode bytes) in
+  let direct =
+    Api.run
+      { Api.default_request with engine; sfi; opts; fuel = Some fuel }
+      (Api.Exe (Omnivm.Wire.decode bytes))
+  in
   let c = Service.stats svc in
   c.Counters.s_hits = 1
   && c.Counters.s_translations = 1
@@ -410,6 +427,72 @@ let qcheck_counters_json =
        (QCheck.make gen_snapshot ~print:Counters.to_json)
        (fun s -> Counters.of_json (Counters.to_json s) = s))
 
+(* The Stats JSON bytes are read by omnid's clients, [omnirun serve
+   --stats] and perfbench: pin the exact text of one fixed snapshot — key
+   order, [hit_rate] right after [misses], [%.4f] for the rate and
+   [%.6f] for the histogram sums. *)
+let counters_json_golden () =
+  let s =
+    {
+      Counters.s_submits = 1;
+      s_modules = 2;
+      s_dedup_hits = 3;
+      s_bytes_stored = 4;
+      s_predecode_hits = 5;
+      s_predecode_misses = 6;
+      s_hits = 7;
+      s_misses = 8;
+      s_evictions = 9;
+      s_translations = 10;
+      s_verifications = 11;
+      s_cert_checks = 12;
+      s_cert_full_verify = 13;
+      s_verify_fail = 14;
+      s_cold_translate_s = 0.0123456789;
+      s_warm_admit_s = 2.5;
+      s_instantiations = 15;
+      s_quarantine_trips = 16;
+      s_quarantine_refused = 17;
+      s_quarantine_cleared = 18;
+      s_crash_reports = 19;
+      s_deadline_exceeded = 20;
+      s_persist_append = 21;
+      s_persist_replay = 22;
+      s_persist_recovered = 23;
+      s_persist_quarantined = 24;
+      s_persist_torn = 25;
+    }
+  in
+  Alcotest.(check string) "stats JSON bytes"
+    ("{\"submits\":1,\"modules\":2,\"dedup_hits\":3,\"bytes_stored\":4,"
+   ^ "\"predecode_hits\":5,\"predecode_misses\":6,\"hits\":7,\"misses\":8,"
+   ^ "\"hit_rate\":0.4667,\"evictions\":9,\"translations\":10,"
+   ^ "\"verifications\":11,\"cert_checks\":12,\"cert_full_verify\":13,"
+   ^ "\"verify_fail\":14,\"cold_translate_s\":0.012346,"
+   ^ "\"warm_admit_s\":2.500000,\"instantiations\":15,"
+   ^ "\"quarantine_trips\":16,\"quarantine_refused\":17,"
+   ^ "\"quarantine_cleared\":18,\"crash_reports\":19,"
+   ^ "\"deadline_exceeded\":20,\"persist_append\":21,\"persist_replay\":22,"
+   ^ "\"persist_recovered\":23,\"persist_quarantined\":24,"
+   ^ "\"persist_torn\":25}")
+    (Counters.to_json s)
+
+(* every row of the field table names an instrument of the right kind in
+   the registry [Counters.create] populates *)
+let counters_fields_registered () =
+  let m = Counters.metrics (Counters.create ()) in
+  let snap = Omni_obs.Metrics.snapshot m in
+  List.iter
+    (function
+      | Counters.Count (key, name, _) ->
+          Alcotest.(check bool) (key ^ " -> counter " ^ name) true
+            (List.mem_assoc name snap.Omni_obs.Metrics.counters)
+      | Counters.Sum (key, name, _) ->
+          Alcotest.(check bool) (key ^ " -> histogram " ^ name) true
+            (List.mem_assoc name snap.Omni_obs.Metrics.histograms)
+      | Counters.Rate _ -> ())
+    Counters.fields
+
 (* the rendered forms carry the post-schema counters too — a counter
    added to the snapshot but forgotten in render/to_json is invisible in
    [--stats] output, which is how the persist counters went missing *)
@@ -422,7 +505,8 @@ let snapshot_surfaces_persist () =
     go 0
   in
   let c = Counters.create () in
-  Omni_obs.Metrics.incr c.Counters.persist_append;
+  Omni_obs.Metrics.incr
+    (Omni_obs.Metrics.counter (Counters.metrics c) "persist.append");
   let s = Counters.snapshot c in
   Alcotest.(check int) "snapshot sees the bump" 1 s.Counters.s_persist_append;
   Alcotest.(check bool) "to_json has persist_append" true
@@ -457,10 +541,13 @@ let () =
            cache_capacity_zero_disables;
          Alcotest.test_case "evictions counted" `Quick cache_eviction_counted ]);
       ("facade",
-       [ Alcotest.test_case "run_wire_cached = run_wire" `Quick
-           run_wire_cached_matches ]);
+       [ Alcotest.test_case "served run = direct run" `Quick
+           served_run_matches ]);
       ("qcheck", [ qcheck_identity ]);
       ("counters-json",
        [ qcheck_counters_json;
          Alcotest.test_case "persist counters surfaced" `Quick
-           snapshot_surfaces_persist ]) ]
+           snapshot_surfaces_persist;
+         Alcotest.test_case "golden bytes" `Quick counters_json_golden;
+         Alcotest.test_case "field table rows are registered" `Quick
+           counters_fields_registered ]) ]
