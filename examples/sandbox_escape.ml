@@ -69,7 +69,8 @@ let run_attack src ~sfi =
   let canary =
     match img.Omni_runtime.Loader.host_region with
     | Some r ->
-        Bytes.fill r.Omnivm.Memory.bytes 0 64 '\xAB';
+        Omnivm.Memory.blit_in img.Omni_runtime.Loader.mem
+          ~addr:(Omnivm.Memory.base r) (Bytes.make 64 '\xAB');
         r
     | None -> assert false
   in
@@ -83,7 +84,9 @@ let run_attack src ~sfi =
   in
   let r = Api.run_translated ~fuel:1_000_000 tr img in
   let intact =
-    Bytes.for_all (fun c -> c = '\xAB') (Bytes.sub canary.Omnivm.Memory.bytes 0 64)
+    Bytes.for_all (fun c -> c = '\xAB')
+      (Omnivm.Memory.read_bytes img.Omni_runtime.Loader.mem
+         ~addr:(Omnivm.Memory.base canary) ~len:64)
   in
   let outcome =
     match r.Api.outcome with

@@ -548,6 +548,42 @@ let service_amortization ~size =
        (Omni_obs.Metrics.snapshot (Svc.metrics svc)));
   Buffer.contents buf
 
+(* Memory set-up per load: words allocated by one instantiation and the
+   pages it commits (none: copy-on-write leaves every commit to the run),
+   over ten instantiations of each workload's blueprint; plus the pages
+   the runs already recorded in [m] committed per run. *)
+type load_memory = {
+  lm_loads : int;
+  lm_pages_per_load : int;
+  lm_words_per_load : int;
+  lm_pages_per_run : int;
+}
+
+let load_memory ws m =
+  let loads = ref 0 and bytes = ref 0. and pages = ref 0 in
+  List.iter
+    (fun (w : Omni_workloads.Workloads.t) ->
+      let bp = Omni_runtime.Loader.blueprint (prepare w).p_exe in
+      for _ = 1 to 10 do
+        let b0 = Gc.allocated_bytes () in
+        let img = Omni_runtime.Loader.instantiate bp in
+        bytes := !bytes +. (Gc.allocated_bytes () -. b0);
+        pages :=
+          !pages + Omnivm.Memory.committed_pages img.Omni_runtime.Loader.mem;
+        incr loads
+      done)
+    ws;
+  let runs =
+    Omni_obs.Metrics.histogram_count (Omni_obs.Metrics.histogram m "phase.run")
+  in
+  { lm_loads = !loads;
+    lm_pages_per_load = !pages / max 1 !loads;
+    lm_words_per_load =
+      int_of_float (!bytes /. float_of_int (max 1 !loads * (Sys.word_size / 8)));
+    lm_pages_per_run =
+      Omni_obs.Metrics.value (Omni_obs.Metrics.counter m "mem.pages_committed")
+      / max 1 runs }
+
 (* Per-phase pipeline breakdown (the observability tentpole, end to end):
    compile each workload from source, ship the bytes through the serving
    path (decode, load, translate, verify) and run on the interpreter and
@@ -580,6 +616,13 @@ let phase_breakdown ~size =
      (every workload, interpreter + all four targets, serving path)\n\n";
   Buffer.add_string buf
     (Omni_obs.Metrics.render_phases (Omni_obs.Metrics.snapshot m));
+  let lm = load_memory ws m in
+  Buffer.add_string buf
+    (Printf.sprintf
+       "\nload memory: %d pages committed and %d words allocated per load \
+        (%d loads); %d pages committed per run\n"
+       lm.lm_pages_per_load lm.lm_words_per_load lm.lm_loads
+       lm.lm_pages_per_run);
   Buffer.contents buf
 
 (* Remote serving overhead: the same requests through the distribution
@@ -1749,6 +1792,14 @@ let bench_snapshot ~size : string =
           all_archs)
       ws;
     let snap = Omni_obs.Metrics.snapshot m in
+    let lm = load_memory ws m in
+    let load_row =
+      Printf.sprintf
+        "    \"load_memory\": {\"loads\": %d, \"pages_committed_per_load\": \
+         %d, \"words_per_load\": %d, \"pages_committed_per_run\": %d}"
+        lm.lm_loads lm.lm_pages_per_load lm.lm_words_per_load
+        lm.lm_pages_per_run
+    in
     List.filter_map
       (fun (name, (hs : Omni_obs.Metrics.hist_snapshot)) ->
         let n = String.length name in
@@ -1759,7 +1810,7 @@ let bench_snapshot ~size : string =
             /. float_of_int (max 1 hs.Omni_obs.Metrics.hs_count)
           in
           (match phase with
-          | "translate" | "verify" | "run" ->
+          | "load" | "translate" | "verify" | "run" ->
               hot_add (Printf.sprintf "phase.%s.mean" phase) (us mean)
           | _ -> ());
           Some
@@ -1771,6 +1822,7 @@ let bench_snapshot ~size : string =
         end
         else None)
       snap.Omni_obs.Metrics.histograms
+    @ [ load_row ]
   in
   (* service: cold vs warm admission per arch, via the serving counters *)
   let service_section =

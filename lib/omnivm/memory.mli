@@ -8,7 +8,14 @@
 
     Access outside any region, against a region's permissions, or
     straddling a region boundary raises {!Fault.Vm_fault} with an
-    access-violation payload. *)
+    access-violation payload.
+
+    Regions are backed by lazily committed pages of {!page_size} bytes.
+    An unwritten page reads from a shared immutable page (zeros, or a
+    {!snapshot}'s contents); the first write to it, by a guest store or by
+    {!blit_in}, copies it into a page private to that region. The copy is
+    invisible to guests: every access reads and writes exactly the bytes a
+    flat zero-filled region would, and faults identically. *)
 
 type perm = { read : bool; write : bool; execute : bool }
 
@@ -17,21 +24,36 @@ val perm_r : perm
 val perm_rx : perm
 val perm_rwx : perm
 
-type region = {
-  name : string;
-  base : int;
-  size : int;
-  mutable perm : perm;
-  bytes : Bytes.t;
-}
+val page_size : int
+(** 4096. *)
+
+type region
+
+val name : region -> string
+val base : region -> int
+val size : region -> int
+
+type snapshot
+(** Immutable initial contents for a region, split into pages once and
+    shared, without copying, by every region mapped from it. *)
+
+val snapshot : size:int -> at:int -> Bytes.t -> snapshot
+(** [snapshot ~size ~at b]: the contents of a [size]-byte region holding
+    [b] at offset [at] and zeros elsewhere.
+    @raise Invalid_argument if [b] does not fit. *)
 
 type t
 
 val create : unit -> t
 
-val map : t -> name:string -> base:int -> size:int -> perm:perm -> region
-(** Map a fresh zero-filled region. [base] must be page (4 KiB) aligned.
-    @raise Invalid_argument on overlap or bad arguments. *)
+val map :
+  ?init:snapshot -> t -> name:string -> base:int -> size:int -> perm:perm ->
+  region
+(** Map a region that reads as zeros, or as [init] when given. Nothing of
+    its size is allocated up front: only a page table, with pages
+    committed one at a time on first write. [base] must be page aligned.
+    @raise Invalid_argument on overlap, bad arguments, or an [init] of
+    another size. *)
 
 val region_of : t -> int -> region option
 val find_region : t -> string -> region option
@@ -39,6 +61,9 @@ val find_region : t -> string -> region option
 val set_perm : t -> string -> perm -> unit
 (** Change a region's permissions by name (the host-imposed permission
     model of the paper's SDCA). *)
+
+val committed_pages : t -> int
+(** Pages made private by a first write so far, over all regions. *)
 
 (** {2 Checked accesses} — loads return canonical {!Omni_util.Word32}
     values (unsigned for sub-word widths). *)

@@ -2,7 +2,8 @@
    instantiate the host environment.
 
    The loader is the trusted component: it maps the code and data segments,
-   copies the module's initialized data image, reserves heap and stack inside
+   places the module's initialized data image (as shared copy-on-write
+   pages prepared once per blueprint), reserves heap and stack inside
    the data segment, and (optionally) maps a region standing in for the
    host's own memory so tests can demonstrate what SFI protects. *)
 
@@ -16,15 +17,17 @@ type image = {
   host_region : Memory.region option;
 }
 
-(* A validated loading plan: segment geometry and host grant computed once
-   per executable, so a serving host can stamp out many isolated images of
-   the same module without re-checking sizes on every instantiation. *)
+(* A validated loading plan: segment geometry, host grant and the data
+   segment's initial pages computed once per executable, so a serving host
+   can stamp out many isolated images of the same module without
+   re-checking sizes or copying the data image on every instantiation. *)
 type blueprint = {
   bp_exe : Exe.t;
   bp_allow : Hostcall.t list;
   bp_map_host_region : bool;
   bp_heap_start : int;
   bp_heap_limit : int;
+  bp_data : Memory.snapshot;
 }
 
 let blueprint ?(allow = Hostcall.all) ?(map_host_region = false)
@@ -35,8 +38,12 @@ let blueprint ?(allow = Hostcall.all) ?(map_host_region = false)
   let heap_start = (globals_end + 15) land lnot 15 in
   let heap_limit = Layout.data_base + Layout.data_size - stack_size in
   if heap_start > heap_limit then invalid_arg "Loader.load: data too large";
+  let data =
+    Memory.snapshot ~size:Layout.data_size ~at:Layout.reserved_data
+      exe.Exe.data
+  in
   { bp_exe = exe; bp_allow = allow; bp_map_host_region = map_host_region;
-    bp_heap_start = heap_start; bp_heap_limit = heap_limit }
+    bp_heap_start = heap_start; bp_heap_limit = heap_limit; bp_data = data }
 
 let instantiate (bp : blueprint) : image =
   Trace.phase "load" @@ fun () ->
@@ -51,8 +58,8 @@ let instantiate (bp : blueprint) : image =
     (Memory.map mem ~name:"code" ~base:Layout.code_base ~size:Layout.code_size
        ~perm:Memory.perm_rx);
   ignore
-    (Memory.map mem ~name:"data" ~base:Layout.data_base ~size:Layout.data_size
-       ~perm:Memory.perm_rw);
+    (Memory.map ~init:bp.bp_data mem ~name:"data" ~base:Layout.data_base
+       ~size:Layout.data_size ~perm:Memory.perm_rw);
   let host_region =
     if bp.bp_map_host_region then
       Some
@@ -60,8 +67,6 @@ let instantiate (bp : blueprint) : image =
            ~size:Layout.host_size ~perm:Memory.perm_rw)
     else None
   in
-  Memory.blit_in mem ~addr:(Layout.data_base + Layout.reserved_data)
-    exe.Exe.data;
   let host =
     Host.create ~allow:bp.bp_allow ~heap_start:bp.bp_heap_start
       ~heap_limit:bp.bp_heap_limit ()

@@ -18,15 +18,17 @@ val load :
   ?stack_size:int ->
   Exe.t ->
   image
-(** Map code/data segments, copy the initialized data image above the
+(** Map code/data segments, place the initialized data image above the
     reserved runtime area, and reserve heap and stack. [allow] is the host
     grant (default: every service). *)
 
 type blueprint
-(** A validated loading plan for one executable: segment geometry and the
-    host grant, computed (and size-checked) once. A serving host keeps a
-    blueprint per cached module and stamps out fresh isolated images with
-    {!instantiate}. *)
+(** A validated loading plan for one executable: segment geometry, the
+    host grant and the data segment's initial pages, computed (and
+    size-checked) once. A serving host keeps a blueprint per cached module
+    and stamps out fresh isolated images with {!instantiate}. The
+    blueprint's pages are immutable and shared by every image, from any
+    domain; an image's writes go to its own copy-on-write pages. *)
 
 val blueprint :
   ?allow:Hostcall.t list ->
@@ -38,6 +40,7 @@ val blueprint :
 
 val instantiate : blueprint -> image
 (** A fresh, fully isolated image: new memory, new host environment.
+    Costs two page tables, not a copy of the segments.
     [load exe] is [instantiate (blueprint exe)]. *)
 
 val load_wire :

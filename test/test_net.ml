@@ -574,7 +574,11 @@ let socket_e2e () =
             (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
              with Invalid_argument _ -> ());
             let svc = Service.of_config Service.default_config in
-            let server = Server.create svc in
+            (* The sequential daemon reaches the second connection below
+               only once the first has sat idle for its read timeout; that
+               timeout must end well inside the client's own 30 s wait. *)
+            let config = { Server.default_config with read_timeout_s = 5. } in
+            let server = Server.create ~config svc in
             (try Server.serve server listen_fd with _ -> ());
             Unix._exit 0
         | pid ->

@@ -356,6 +356,286 @@ let overlap_rejected () =
         (Omnivm.Memory.map mem ~name:"b" ~base:0x2000 ~size:0x1000
            ~perm:Omnivm.Memory.perm_rw))
 
+(* --- paged memory against a flat reference model ---
+
+   The model keeps one flat [Bytes.t] per region and states the contract
+   directly: region lookup, then the permission check, then the straddle
+   check (faulting at the last byte), little-endian bytes, 64-bit accesses
+   as two 32-bit halves low first, and a faulting store that writes
+   nothing. The paged memory must agree on every value, every fault
+   payload and every byte, commit no page on a load or a faulting store,
+   and never write the shared pages it was mapped from. *)
+
+type flat = {
+  f_name : string;
+  f_base : int;
+  f_size : int;
+  mutable f_perm : Omnivm.Memory.perm;
+  f_bytes : Bytes.t;
+}
+
+let flat_fault addr access =
+  raise (Omnivm.Fault.Vm_fault (Omnivm.Fault.Access_violation { addr; access }))
+
+let flat_find regs addr =
+  List.find_opt (fun r -> addr >= r.f_base && addr < r.f_base + r.f_size) regs
+
+let flat_check regs addr width access =
+  let addr = addr land 0xFFFFFFFF in
+  match flat_find regs addr with
+  | None -> flat_fault addr access
+  | Some r ->
+      let p = r.f_perm in
+      let ok =
+        match access with
+        | Omnivm.Fault.Read -> p.Omnivm.Memory.read
+        | Omnivm.Fault.Write -> p.Omnivm.Memory.write
+        | Omnivm.Fault.Execute -> p.Omnivm.Memory.execute
+      in
+      if not ok then flat_fault addr access;
+      if addr - r.f_base + width > r.f_size then
+        flat_fault (addr + width - 1) access;
+      (r, addr - r.f_base)
+
+let flat_get r off width =
+  let v = ref 0 in
+  for i = width - 1 downto 0 do
+    v := (!v lsl 8) lor Char.code (Bytes.get r.f_bytes (off + i))
+  done;
+  !v
+
+let flat_put r off width v =
+  for i = 0 to width - 1 do
+    Bytes.set r.f_bytes (off + i) (Char.chr ((v lsr (8 * i)) land 0xFF))
+  done
+
+let flat_load regs addr width =
+  let r, off = flat_check regs addr width Omnivm.Fault.Read in
+  flat_get r off width
+
+let flat_store regs addr width v =
+  let r, off = flat_check regs addr width Omnivm.Fault.Write in
+  flat_put r off width v
+
+let flat_load64 regs addr =
+  let lo = flat_load regs addr 4 in
+  let hi = flat_load regs (addr + 4) 4 in
+  Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32)
+
+let flat_store64 regs addr v =
+  let r1, o1 = flat_check regs addr 4 Omnivm.Fault.Write in
+  let r2, o2 = flat_check regs (addr + 4) 4 Omnivm.Fault.Write in
+  flat_put r1 o1 4 (Int64.to_int v);
+  flat_put r2 o2 4 (Int64.to_int (Int64.shift_right_logical v 32))
+
+(* Trusted bulk access: no permission check, no address masking. *)
+let flat_trusted regs who addr len =
+  match flat_find regs addr with
+  | None -> invalid_arg ("Memory." ^ who ^ ": unmapped")
+  | Some r ->
+      if addr - r.f_base + len > r.f_size then
+        invalid_arg ("Memory." ^ who ^ ": overflow");
+      (r, addr - r.f_base)
+
+(* Widths: 0..2 = 8/16/32-bit integer, 3 = 64-bit, 4 = double, 5 = single. *)
+type mem_op =
+  | Load of int * int
+  | Store of int * int * int64
+  | Blit of int * string
+  | Read of int * int
+  | Perm of string * Omnivm.Memory.perm
+
+let perms =
+  Omnivm.Memory.
+    [ perm_rw; perm_r; perm_rx; perm_rwx;
+      { read = false; write = true; execute = false } ]
+
+let perm_name (p : Omnivm.Memory.perm) =
+  Printf.sprintf "%c%c%c"
+    (if p.read then 'r' else '-')
+    (if p.write then 'w' else '-')
+    (if p.execute then 'x' else '-')
+
+let show_op = function
+  | Load (w, a) -> Printf.sprintf "load/%d %#x" w a
+  | Store (w, a, v) -> Printf.sprintf "store/%d %#x %Ld" w a v
+  | Blit (a, s) -> Printf.sprintf "blit_in %#x (%d bytes)" a (String.length s)
+  | Read (a, n) -> Printf.sprintf "read_bytes %#x %d" a n
+  | Perm (r, p) -> Printf.sprintf "set_perm %s %s" r (perm_name p)
+
+(* Regions a and b are adjacent, b's size is not a whole number of pages,
+   and c is mapped from a snapshot. *)
+let diff_regions = [ ("a", 0x1000, 0x3000); ("b", 0x4000, 0x1800); ("c", 0x8000, 0x2000) ]
+
+let gen_mem_addr ~masked =
+  let open QCheck.Gen in
+  let anchors =
+    [ 0x0; 0x1000; 0x2000; 0x3000; 0x4000; 0x5000; 0x5800; 0x8000; 0x9000;
+      0xA000; 0xFFFFFFF8 ]
+  in
+  let near = map2 ( + ) (oneofl anchors) (int_range (-9) 9) in
+  let any = int_bound 0xB000 in
+  let addr = frequency [ (6, near); (2, any) ] in
+  if masked then
+    map2 (fun a hi -> if hi then a + 0x1_0000_0000 else a) addr
+      (frequencyl [ (9, false); (1, true) ])
+  else addr
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [ (4, map2 (fun a b -> Int64.logor (Int64.of_int a)
+                     (Int64.shift_left (Int64.of_int b) 32)) int int);
+        (1, oneofl [ 0L; -1L; 0x80000000L; Int64.min_int; 0x7FF8000000000001L ]) ]
+  in
+  frequency
+    [ (6, map2 (fun w a -> Load (w, a)) (int_bound 5) (gen_mem_addr ~masked:true));
+      (6, map3 (fun w a v -> Store (w, a, v)) (int_bound 5)
+            (gen_mem_addr ~masked:true) value);
+      (2, map2 (fun a s -> Blit (a, s)) (gen_mem_addr ~masked:false)
+            (string_size ~gen:char
+               (frequency [ (3, int_bound 16); (1, int_bound 9000) ])));
+      (2, map2 (fun a n -> Read (a, n)) (gen_mem_addr ~masked:false)
+            (frequency [ (3, int_bound 16); (1, int_bound 9000) ]));
+      (1, map2 (fun r p -> Perm (r, p)) (oneofl [ "a"; "b"; "c" ]) (oneofl perms)) ]
+
+(* Run one op, rendering its result (value, fault payload, or refusal). *)
+let outcome f =
+  match f () with
+  | v -> v
+  | exception
+      Omnivm.Fault.Vm_fault (Omnivm.Fault.Access_violation { addr; access }) ->
+      Printf.sprintf "fault %#x %s" addr
+        (match access with
+        | Omnivm.Fault.Read -> "read"
+        | Omnivm.Fault.Write -> "write"
+        | Omnivm.Fault.Execute -> "execute")
+  | exception Invalid_argument m -> "invalid " ^ m
+
+let bits f = Int64.to_string (Int64.bits_of_float f)
+
+let paged_op mem op () =
+  let module M = Omnivm.Memory in
+  match op with
+  | Load (0, a) -> string_of_int (M.load8 mem a)
+  | Load (1, a) -> string_of_int (M.load16 mem a)
+  | Load (2, a) -> string_of_int (M.load32 mem a)
+  | Load (3, a) -> Int64.to_string (M.load64 mem a)
+  | Load (4, a) -> bits (M.load_float mem a)
+  | Load (_, a) -> bits (M.load_single mem a)
+  | Store (0, a, v) -> M.store8 mem a (Int64.to_int v); "ok"
+  | Store (1, a, v) -> M.store16 mem a (Int64.to_int v); "ok"
+  | Store (2, a, v) -> M.store32 mem a (Int64.to_int v); "ok"
+  | Store (3, a, v) -> M.store64 mem a v; "ok"
+  | Store (4, a, v) -> M.store_float mem a (Int64.float_of_bits v); "ok"
+  | Store (_, a, v) -> M.store_single mem a (Int64.float_of_bits v); "ok"
+  | Blit (a, s) -> M.blit_in mem ~addr:a (Bytes.of_string s); "ok"
+  | Read (a, n) -> Bytes.to_string (M.read_bytes mem ~addr:a ~len:n)
+  | Perm (r, p) -> M.set_perm mem r p; "ok"
+
+let flat_op regs op () =
+  match op with
+  | Load (0, a) -> string_of_int (flat_load regs a 1)
+  | Load (1, a) -> string_of_int (flat_load regs a 2)
+  | Load (2, a) -> string_of_int (W.of_int (flat_load regs a 4))
+  | Load (3, a) -> Int64.to_string (flat_load64 regs a)
+  | Load (4, a) -> bits (Int64.float_of_bits (flat_load64 regs a))
+  | Load (_, a) ->
+      bits (Int32.float_of_bits (Int32.of_int (flat_load regs a 4)))
+  | Store (0, a, v) -> flat_store regs a 1 (Int64.to_int v); "ok"
+  | Store (1, a, v) -> flat_store regs a 2 (Int64.to_int v); "ok"
+  | Store (2, a, v) -> flat_store regs a 4 (Int64.to_int v); "ok"
+  | Store (3, a, v) -> flat_store64 regs a v; "ok"
+  | Store (4, a, v) ->
+      flat_store64 regs a (Int64.bits_of_float (Int64.float_of_bits v)); "ok"
+  | Store (_, a, v) ->
+      flat_store regs a 4
+        (Int32.to_int (Int32.bits_of_float (Int64.float_of_bits v)));
+      "ok"
+  | Blit (a, s) ->
+      let r, off = flat_trusted regs "blit_in" a (String.length s) in
+      Bytes.blit_string s 0 r.f_bytes off (String.length s);
+      "ok"
+  | Read (a, n) ->
+      let r, off = flat_trusted regs "read_bytes" a n in
+      Bytes.sub_string r.f_bytes off n
+  | Perm (name, p) ->
+      (List.find (fun r -> r.f_name = name) regs).f_perm <- p;
+      "ok"
+
+let same_contents mem regs =
+  List.for_all
+    (fun r ->
+      Bytes.equal r.f_bytes
+        (Omnivm.Memory.read_bytes mem ~addr:r.f_base ~len:r.f_size))
+    regs
+
+let paged_matches_flat =
+  let open QCheck in
+  let gen =
+    Gen.(
+      triple
+        (string_size ~gen:char (int_bound 6000))
+        (int_bound 0x2000)
+        (list_size (int_range 1 80) gen_mem_op))
+  in
+  let print (init, at, ops) =
+    Printf.sprintf "init %d bytes at %#x; %s" (String.length init) at
+      (String.concat "; " (List.map show_op ops))
+  in
+  QCheck_alcotest.to_alcotest
+    (Test.make ~count:300 ~name:"paged memory = flat model" (make ~print gen)
+       (fun (init, at, ops) ->
+         let at = min at (0x2000 - String.length init) in
+         let snap =
+           Omnivm.Memory.snapshot ~size:0x2000 ~at (Bytes.of_string init)
+         in
+         let mem = Omnivm.Memory.create () in
+         let regs =
+           List.map
+             (fun (name, base, size) ->
+               let from = if name = "c" then Some snap else None in
+               ignore
+                 (Omnivm.Memory.map ?init:from mem ~name ~base ~size
+                    ~perm:Omnivm.Memory.perm_rw);
+               let bytes = Bytes.make size '\000' in
+               if name = "c" then
+                 Bytes.blit_string init 0 bytes at (String.length init);
+               { f_name = name; f_base = base; f_size = size;
+                 f_perm = Omnivm.Memory.perm_rw; f_bytes = bytes })
+             diff_regions
+         in
+         List.iter
+           (fun op ->
+             let before = Omnivm.Memory.committed_pages mem in
+             let got = outcome (paged_op mem op) in
+             let want = outcome (flat_op regs op) in
+             if got <> want then
+               Test.fail_reportf "%s: paged %S, flat %S" (show_op op) got want;
+             let ok = got = "ok" in
+             (match op with
+             | Load _ | Read _ when Omnivm.Memory.committed_pages mem <> before ->
+                 Test.fail_reportf "%s committed a page" (show_op op)
+             | (Store _ | Blit _) when not ok ->
+                 if Omnivm.Memory.committed_pages mem <> before then
+                   Test.fail_reportf "faulting %s committed a page" (show_op op);
+                 if not (same_contents mem regs) then
+                   Test.fail_reportf "faulting %s changed memory" (show_op op)
+             | _ -> ()))
+           ops;
+         if not (same_contents mem regs) then
+           Test.fail_report "final contents differ";
+         (* the snapshot's shared pages were never written *)
+         let fresh = Omnivm.Memory.create () in
+         ignore
+           (Omnivm.Memory.map ~init:snap fresh ~name:"c" ~base:0x8000
+              ~size:0x2000 ~perm:Omnivm.Memory.perm_r);
+         let expect = Bytes.make 0x2000 '\000' in
+         Bytes.blit_string init 0 expect at (String.length init);
+         Bytes.equal expect
+           (Omnivm.Memory.read_bytes fresh ~addr:0x8000 ~len:0x2000)))
+
 (* --- wire format round-trip --- *)
 
 let gen_reg = QCheck.Gen.int_bound 15
@@ -534,7 +814,8 @@ let () =
          Alcotest.test_case "sbrk heap" `Quick sbrk_heap ]);
       ("memory",
        [ Alcotest.test_case "unit" `Quick memory_unit;
-         Alcotest.test_case "overlap rejected" `Quick overlap_rejected ]);
+         Alcotest.test_case "overlap rejected" `Quick overlap_rejected;
+         paged_matches_flat ]);
       ("wire",
        [ wire_roundtrip;
          wire_decode_robust;

@@ -338,6 +338,64 @@ let hammer_persistent_store () =
     (n - half - Hashtbl.length fresh2)
     c2.Counters.s_cert_checks
 
+(* --- copy-on-write hammer: images from one blueprint in two domains ---
+
+   Every image of a module shares the blueprint's data pages and the zero
+   page; each guest below rewrites its initialized global and a 12 KiB
+   zero-initialized array, and the host blit_ins over both and over a page
+   the guest never touches. If any write
+   reached a shared page, a later image (in either domain) would start
+   from dirty memory and print a different line. *)
+
+let cow_src =
+  {| int seed = 12345;
+     int buf[3000];
+     int main(void) {
+       int i; int s = 0;
+       for (i = 0; i < 3000; i++) { buf[i] = buf[i] + seed + i; seed = seed + 1; }
+       for (i = 0; i < 3000; i++) s = s + buf[i];
+       print_int(s); putchar(32); print_int(seed); putchar(10);
+       return 0; } |}
+
+let hammer_cow_images () =
+  let module Loader = Omni_runtime.Loader in
+  let module Mem = Omnivm.Memory in
+  let store = Omni_service.Store.create () in
+  let h = Omni_service.Store.submit store (Api.compile ~name:"cow" cow_src) in
+  let bp = Omni_service.Store.blueprint store h in
+  let exe = Omni_service.Store.exe store h in
+  let seed = Option.get (Omnivm.Exe.lookup_symbol exe "seed") in
+  let buf = Option.get (Omnivm.Exe.lookup_symbol exe "buf") in
+  (* a data page the guest never touches *)
+  let spare = Omnivm.Layout.data_base + 0x80000 in
+  let run () =
+    let img = Loader.instantiate bp in
+    if Mem.load32 img.Loader.mem seed <> 12345
+       || Mem.load32 img.Loader.mem (buf + 4 * 2999) <> 0
+       || Mem.load32 img.Loader.mem spare <> 0
+    then Alcotest.fail "a fresh image started from dirty memory";
+    Mem.blit_in img.Loader.mem ~addr:spare (Bytes.make 4 '\xFF');
+    (match Loader.run_interp ~fuel img with
+    | Omnivm.Interp.Exited 0, _ -> ()
+    | _ -> Alcotest.fail "guest did not exit 0");
+    Mem.blit_in img.Loader.mem ~addr:seed (Bytes.make 4 '\xFF');
+    Mem.blit_in img.Loader.mem ~addr:buf (Bytes.make 12000 '\xFF');
+    Omni_runtime.Host.output img.Loader.host
+  in
+  let expected = run () in
+  Alcotest.(check string) "reference output"
+    (Printf.sprintf "%d %d\n"
+       (List.init 3000 (fun i -> 12345 + (2 * i)) |> List.fold_left ( + ) 0)
+       (12345 + 3000))
+    expected;
+  let worker () =
+    for _ = 1 to 12 do
+      if run () <> expected then Alcotest.fail "concurrent image diverged"
+    done
+  in
+  List.init 2 (fun _ -> Domain.spawn worker) |> List.iter Domain.join;
+  Alcotest.(check string) "an image after the hammer" expected (run ())
+
 (* --- server dispatch hammer: handle_request from several domains --- *)
 
 let hammer_server_dispatch () =
@@ -441,7 +499,9 @@ let () =
          Alcotest.test_case "persistent store, 4 domains + reopen" `Quick
            hammer_persistent_store;
          Alcotest.test_case "server dispatch, 2 domains" `Quick
-           hammer_server_dispatch ]);
+           hammer_server_dispatch;
+         Alcotest.test_case "copy-on-write images, 2 domains" `Quick
+           hammer_cow_images ]);
       ("backpressure",
        [ Alcotest.test_case "full queue sheds typed" `Quick
            backpressure_sheds_typed ]) ]

@@ -120,6 +120,71 @@ main:   li r1, 0
   Alcotest.(check bool) "host region on demand" true
     (img2.Loader.host_region <> None)
 
+(* Images stamped from one blueprint share its data pages copy-on-write:
+   a guest store or a host blit_in in one image is seen by no other image,
+   neither one already live nor one instantiated afterwards, and the
+   blueprint's pages keep the module's initial data. *)
+let blueprint_isolation () =
+  let obj =
+    Omni_asm.Parse.assemble ~name:"t"
+      {|
+        .data
+        .globl g
+g:      .word 0x11223344
+        .text
+        .globl main
+main:   la r2, g
+        lw r3, 0(r2)
+        addi r3, r3, 1
+        sw r3, 0(r2)
+        addi r1, r3, 0
+        hcall 2
+        li r1, 0
+        hcall 0
+|}
+  in
+  let exe = Omni_asm.Link.link [ obj ] in
+  let g = Option.get (Omnivm.Exe.lookup_symbol exe "g") in
+  let bp = Loader.blueprint exe in
+  let img1 = Loader.instantiate bp and img2 = Loader.instantiate bp in
+  let g_of (img : Loader.image) = Omnivm.Memory.load32 img.Loader.mem g in
+  Alcotest.(check int) "instantiation commits no page" 0
+    (Omnivm.Memory.committed_pages img1.Loader.mem);
+  (* a guest store, through the checked path; each first write is counted
+     in the ambient tracer's registry *)
+  let m = Omni_obs.Metrics.create () in
+  Omni_obs.Trace.with_current
+    (Omni_obs.Trace.make ~metrics:m Omni_obs.Trace.Null)
+    (fun () -> ignore (Loader.run_interp img1));
+  Alcotest.(check int) "mem.pages_committed counts every first write"
+    (Omnivm.Memory.committed_pages img1.Loader.mem)
+    (Omni_obs.Metrics.value (Omni_obs.Metrics.counter m "mem.pages_committed"));
+  Alcotest.(check bool) "the run committed pages" true
+    (Omnivm.Memory.committed_pages img1.Loader.mem > 0);
+  Alcotest.(check string) "guest saw its increment" "287454021"
+    (Host.output img1.Loader.host);
+  Alcotest.(check int) "guest store landed" 0x11223345 (g_of img1);
+  Alcotest.(check int) "guest store invisible to a live sibling" 0x11223344
+    (g_of img2);
+  (* a host blit_in, through the trusted path *)
+  Omnivm.Memory.blit_in img2.Loader.mem ~addr:g (Bytes.make 4 '\x7F');
+  Omnivm.Memory.blit_in img2.Loader.mem ~addr:(L.data_base + 0x8000)
+    (Bytes.make 8 '\x7F');
+  Alcotest.(check int) "blit_in landed" 0x7F7F7F7F (g_of img2);
+  Alcotest.(check int) "blit_in invisible to a live sibling" 0x11223345
+    (g_of img1);
+  Alcotest.(check int) "zero page still zero in the sibling" 0
+    (Omnivm.Memory.load32 img1.Loader.mem (L.data_base + 0x8000));
+  (* a later image reads the blueprint's pages, untouched *)
+  let img3 = Loader.instantiate bp in
+  Alcotest.(check int) "blueprint pages keep the initial data" 0x11223344
+    (g_of img3);
+  Alcotest.(check int) "blueprint zero page untouched" 0
+    (Omnivm.Memory.load32 img3.Loader.mem (L.data_base + 0x8000));
+  ignore (Loader.run_interp img3);
+  Alcotest.(check string) "a later run starts from the initial data"
+    "287454021" (Host.output img3.Loader.host)
+
 let lcg_determinism () =
   let a = Omni_util.Lcg.create 42 in
   let b = Omni_util.Lcg.create 42 in
@@ -143,6 +208,8 @@ let () =
          Alcotest.test_case "authority" `Quick authority;
          Alcotest.test_case "service extension" `Quick service_extension;
          Alcotest.test_case "set_handler" `Quick set_handler_outcome ]);
-      ("loader", [ Alcotest.test_case "layout" `Quick loader_layout ]);
+      ("loader",
+       [ Alcotest.test_case "layout" `Quick loader_layout;
+         Alcotest.test_case "blueprint isolation" `Quick blueprint_isolation ]);
       ("util", [ Alcotest.test_case "lcg determinism" `Quick lcg_determinism ])
     ]
